@@ -115,6 +115,10 @@ def cmd_eval(args) -> int:
     if missing:
         print(f"environment misses variables: {', '.join(sorted(missing))}", file=sys.stderr)
         return 2
+    outside = sorted(x for x, v in env.items() if v.rank > U.k)
+    if outside:
+        print(f"environment values outside V_{U.k}: {', '.join(outside)}", file=sys.stderr)
+        return 2
     try:
         if isinstance(core, fol.SetTerm):
             print(hf.print_hf(hf.eval_term(core, env, U)))

@@ -21,7 +21,8 @@ Two independent engines are provided and cross-checked in the test suite:
   * a vectorized sweep engine used by check_valid / check_equivalence, which
     exploits the fact that a full universe V_k enumerated in Ackermann order
     has element index == Ackermann code, so membership and the term
-    constructors become table lookups.
+    constructors become table lookups.  Its tables are n x n, so sweeps run
+    at rank <= MAX_SWEEP_RANK; rank 4 (n = 65,536) is for single evaluations.
 
 The sweep over omega is truncated: omega denotes {0, ..., k-1}, so the
 infinity axiom is NOT modeled and absence of a counterexample is never a
@@ -40,6 +41,7 @@ from .set_syntax import (And, Bot, Empty, Eq, Exists, Forall, Imp, Mem, Omega,
                          Or, Pair, Pow, Sep, SetFormula, SetTerm, Union, Var)
 
 MAX_RANK = 4
+MAX_SWEEP_RANK = 3
 _MAX_CELLS = 20_000_000
 
 
@@ -151,8 +153,8 @@ class Universe:
     """All HF sets of rank <= k, in Ackermann order (index == code)."""
 
     def __init__(self, k: int):
-        if k > MAX_RANK:
-            raise ValueError(f"rank {k} too large (max {MAX_RANK})")
+        if not 0 <= k <= MAX_RANK:
+            raise ValueError(f"rank {k} outside 0..{MAX_RANK}")
         self.k = k
         level = [EMPTY]
         for _ in range(k):
@@ -507,6 +509,8 @@ class SweepReport:
 
 def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
                   strict: bool = False):
+    if U.k > MAX_SWEEP_RANK:
+        raise ValueError(f"sweeps run at rank <= {MAX_SWEEP_RANK}, not {U.k}")
     eng = _SweepEngine(U, strict)
     dims, tr, ov = eng.formula(f)
     missing = set(dims) - set(variables)
@@ -528,57 +532,25 @@ def check_valid(f: SetFormula, variables, U: Universe,
                 strict: bool = False) -> SweepReport:
     """True in every environment over `variables` that does not overflow."""
     variables = tuple(sorted(set(variables)))
-    if len(U.elements) <= 16:
-        full, tr, ov = _sweep_arrays(f, variables, U, strict)
-        bad = ~tr & ~ov
-        total = int(np.prod([len(U.elements)] * len(full), dtype=np.int64)) if full else 1
-        if bad.any():
-            return SweepReport(False, _first_env(bad, full, U), int(ov.sum()), total)
-        return SweepReport(True, None, int(ov.sum()), total)
-    return _check_valid_slow(f, variables, U, strict)
-
-
-def _check_valid_slow(f: SetFormula, variables, U: Universe,
-                      strict: bool = False) -> SweepReport:
-    skipped = total = 0
-    for combo in itertools.product(U.elements, repeat=len(variables)):
-        total += 1
-        env = dict(zip(variables, combo))
-        try:
-            val = eval_formula(f, env, U, strict)
-        except Overflow:
-            skipped += 1
-            continue
-        if not val:
-            return SweepReport(False, env, skipped, total)
-    return SweepReport(True, None, skipped, total)
+    full, tr, ov = _sweep_arrays(f, variables, U, strict)
+    bad = ~tr & ~ov
+    total = int(np.prod([len(U.elements)] * len(full), dtype=np.int64)) if full else 1
+    if bad.any():
+        return SweepReport(False, _first_env(bad, full, U), int(ov.sum()), total)
+    return SweepReport(True, None, int(ov.sum()), total)
 
 
 def check_equivalence(f: SetFormula, g: SetFormula, variables, U: Universe) -> SweepReport:
     """Exhaustively compare truth values; overflowing environments are skipped."""
     variables = tuple(sorted(set(variables)))
-    if len(U.elements) <= 16:
-        full1, t1, o1 = _sweep_arrays(f, variables, U)
-        _, t2, o2 = _sweep_arrays(g, variables, U)
-        skip = o1 | o2
-        diff = (t1 != t2) & ~skip
-        total = int(np.prod([len(U.elements)] * len(full1), dtype=np.int64)) if full1 else 1
-        if diff.any():
-            return SweepReport(False, _first_env(diff, full1, U), int(skip.sum()), total)
-        return SweepReport(True, None, int(skip.sum()), total)
-    skipped = total = 0
-    for combo in itertools.product(U.elements, repeat=len(variables)):
-        total += 1
-        env = dict(zip(variables, combo))
-        try:
-            v1 = eval_formula(f, env, U)
-            v2 = eval_formula(g, env, U)
-        except Overflow:
-            skipped += 1
-            continue
-        if v1 != v2:
-            return SweepReport(False, env, skipped, total)
-    return SweepReport(True, None, skipped, total)
+    full, t1, o1 = _sweep_arrays(f, variables, U)
+    _, t2, o2 = _sweep_arrays(g, variables, U)
+    skip = o1 | o2
+    diff = (t1 != t2) & ~skip
+    total = int(np.prod([len(U.elements)] * len(full), dtype=np.int64)) if full else 1
+    if diff.any():
+        return SweepReport(False, _first_env(diff, full, U), int(skip.sum()), total)
+    return SweepReport(True, None, int(skip.sum()), total)
 
 
 def standard_axioms() -> list[tuple[str, SetFormula]]:

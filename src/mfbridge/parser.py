@@ -13,8 +13,33 @@ from . import emtt_syntax as pre
 from . import set_syntax as fol
 
 
+# Deepest nesting accepted.  Each parenthesis, negation, quantifier or other
+# prefix form, term constructor and binary connective opens one level; every
+# later stage (elaboration, the translations, printing, evaluation) recurses
+# once or more per level, so input at the cap must still fit the interpreter's
+# recursion limit through all of them.
+MAX_DEPTH = 100
+
+
 class ParseError(ValueError):
     pass
+
+
+class NestingError(ParseError):
+    """Input nested deeper than MAX_DEPTH; no other reading of it is tried."""
+
+
+def _level(method):
+    """A grammar method whose every call opens one nesting level; the levels
+    that operator chains open inside it close when it returns."""
+    def wrapper(self):
+        saved = self.depth
+        self.deeper()
+        try:
+            return method(self)
+        finally:
+            self.depth = saved
+    return wrapper
 
 
 _TOKEN_RE = re.compile(r"""
@@ -69,6 +94,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -98,6 +124,12 @@ class _Parser:
         if t.kind != "eof":
             raise ParseError(f"trailing input {t.text!r} at offset {t.pos}")
 
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise NestingError(f"input nested deeper than {MAX_DEPTH} levels "
+                               f"at offset {self.peek().pos}")
+
     def fail(self, what: str):
         t = self.peek()
         raise ParseError(f"expected {what} but found {t.text or 'end of input'!r} at offset {t.pos}")
@@ -114,27 +146,32 @@ class SetParser(_Parser):
     def formula(self) -> fol.SetFormula:
         f = self.imp()
         while self.accept("<->"):
+            self.deeper()
             f = fol.Iff(f, self.imp())
         return f
 
     def imp(self) -> fol.SetFormula:
         f = self.disj()
         if self.accept("->"):
+            self.deeper()
             return fol.Imp(f, self.imp())
         return f
 
     def disj(self) -> fol.SetFormula:
         f = self.conj()
         while self.accept("\\/"):
+            self.deeper()
             f = fol.Or(f, self.conj())
         return f
 
     def conj(self) -> fol.SetFormula:
         f = self.unary()
         while self.accept("/\\"):
+            self.deeper()
             f = fol.And(f, self.unary())
         return f
 
+    @_level
     def unary(self) -> fol.SetFormula:
         if self.accept("not"):
             return fol.Neg(self.unary())
@@ -175,6 +212,7 @@ class SetParser(_Parser):
             return fol.BForall(x, bound, body) if bound is not None else fol.Forall(x, body)
         return fol.BExists(x, bound, body) if bound is not None else fol.Exists(x, body)
 
+    @_level
     def term(self) -> fol.SetTerm:
         t = self.peek()
         if t.kind == "num":
@@ -244,6 +282,7 @@ class EmttParser(_Parser):
                 and self.peek(1).text not in EMTT_KEYWORDS and self.peek(2).text == "|")
 
     # collections
+    @_level
     def collection(self) -> pre.PreCollection:
         c = self.sum()
         if self.accept("/"):
@@ -259,6 +298,7 @@ class EmttParser(_Parser):
     def sum(self) -> pre.PreCollection:
         c = self.colatom()
         while self.accept("+"):
+            self.deeper()
             c = pre.Sum(c, self.colatom())
         return c
 
@@ -309,6 +349,7 @@ class EmttParser(_Parser):
         self.fail("a collection")
 
     # terms
+    @_level
     def term(self) -> pre.PreTerm:
         t = self.peek()
         simple = {"star": pre.Star, "eps": pre.Eps, "tt": pre.TrueT,
@@ -458,6 +499,7 @@ class EmttParser(_Parser):
         return pre.PairV(a, b)
 
     # propositions
+    @_level
     def prop(self) -> pre.PreProposition:
         f = self.disj()
         if self.accept("->"):
@@ -467,12 +509,14 @@ class EmttParser(_Parser):
     def disj(self) -> pre.PreProposition:
         f = self.conj()
         while self.accept("\\/"):
+            self.deeper()
             f = pre.OrP(f, self.conj())
         return f
 
     def conj(self) -> pre.PreProposition:
         f = self.patom()
         while self.accept("/\\"):
+            self.deeper()
             f = pre.AndP(f, self.patom())
         return f
 
@@ -536,6 +580,8 @@ def parse_set_term(text: str) -> fol.SetTerm:
 def parse_set(text: str) -> fol.SetNode:
     try:
         return parse_set_formula(text)
+    except NestingError:
+        raise
     except ParseError:
         return parse_set_term(text)
 
@@ -575,6 +621,8 @@ def parse_emtt(text: str) -> pre.EmttNode | pre.PreContext:
     for fn in (parse_prop, parse_term, parse_collection):
         try:
             return fn(text)
+        except NestingError:
+            raise
         except ParseError:
             continue
     raise ParseError(f"cannot parse as pre-proposition, pre-term or pre-collection: {text[:60]!r}")

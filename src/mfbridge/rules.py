@@ -12,17 +12,22 @@ Schema files use `?name` for metavariables; the rule header declares each
 metavariable's kind (col, term, prop, props, var) and whether it must be
 instantiated freshly.  `(subst X ((t x) ...))` denotes textual substitution,
 performed at instantiation time.
+
+One table of heads (`_HEADS`, lowercase head -> pre-syntax class) drives both
+the reader and the renderer: a compound form lists its arguments in the
+class's field order, each read at the sort its field annotation names, and a
+form with the wrong number of arguments is rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 
 from . import emtt_syntax as pre
-from .core import alpha_eq, alpha_eq_under, free_vars
+from .core import alpha_eq_under, free_vars
 from .emtt_syntax import subst_emtt_many
-from .sexp import SexpError, read_all
+from .sexp import read_all
 from .set_syntax import TheoryFlavor
 
 KINDS = ("col", "term", "prop", "props", "var")
@@ -105,175 +110,110 @@ class MatchReport:
     detail: str = ""
 
 
-# -- reading the s-expression vocabulary ------------------------------------------------
+# -- the s-expression vocabulary -------------------------------------------------------
 
-_COL_ATOMS = {"V": pre.UnivV, "N0": pre.N0, "N1": pre.N1, "P1": pre.PowOne}
-_TERM_ATOMS = {"star": pre.Star, "eps": pre.Eps, "tt": pre.TrueT,
-               "emptyv": pre.EmptyV, "omegav": pre.OmegaV}
+_HEADS = {
+    "V": pre.UnivV, "N0": pre.N0, "N1": pre.N1, "P1": pre.PowOne,
+    "list": pre.ListC, "sum": pre.Sum, "sigma": pre.Sigma, "pi": pre.Pi,
+    "quot": pre.Quot, "funp1": pre.FunPowOne, "compr": pre.Compr,
+    "propcol": pre.PropAsCol,
+    "star": pre.Star, "eps": pre.Eps, "tt": pre.TrueT, "emptyv": pre.EmptyV,
+    "omegav": pre.OmegaV, "emp0": pre.Emp0, "eln1": pre.ElN1, "cons": pre.Cons,
+    "ellist": pre.ElList, "inl": pre.Inl, "inr": pre.Inr, "elplus": pre.ElPlus,
+    "pairt": pre.PairT, "elsig": pre.ElSigma, "lam": pre.Lam, "ap": pre.Ap,
+    "cls": pre.EqCls, "elq": pre.ElQuot, "pr": pre.PropIntoP1, "name": pre.Name,
+    "pairv": pre.PairV, "unionv": pre.UnionV, "powv": pre.PowV, "sepv": pre.SepV,
+    "bot": pre.BotP, "epst": pre.EpsTerm, "epsc": pre.EpsCol, "eqp": pre.EqP,
+    "imp": pre.ImpP, "and": pre.AndP, "or": pre.OrP, "allp": pre.ForallP,
+    "exp": pre.ExistsP,
+}
+_HEAD_OF = {cls: head for head, cls in _HEADS.items()}
+_SORT_NAMES = {pre.PreCollection: "collection", pre.PreTerm: "term",
+               pre.PreProposition: "proposition"}
+# each field's sort, named by its (string) annotation: a pre-syntax sort, or
+# str for a binder
+_SORTS_BY_NAME = {sort.__name__: sort for sort in _SORT_NAMES} | {"str": str}
+_FIELD_SORTS = {cls: tuple(_SORTS_BY_NAME[f.type] for f in fields(cls))
+                for cls in _HEADS.values()}
+_METAS = {pre.PreCollection: MCol, pre.PreTerm: MTerm, pre.PreProposition: MProp}
+_SUBSTS = {pre.PreCollection: SubstCol, pre.PreProposition: SubstProp}
 
 
-def _is_meta(tree) -> bool:
-    return isinstance(tree, str) and tree.startswith("?")
+def _form(tree, what: str):
+    """The head and arguments of a compound form."""
+    if isinstance(tree, str) or not tree or not isinstance(tree[0], str):
+        raise RulesError(f"expected {what}, found {tree!r}")
+    return tree[0], tree[1:]
 
 
-def _binder(tree) -> str:
-    if not isinstance(tree, str):
-        raise RulesError(f"expected a binder atom, found {tree!r}")
-    return tree
+def _arity(head: str, args, n: int) -> None:
+    if len(args) != n:
+        raise RulesError(f"{head} expects {n} arguments, got {len(args)}")
 
 
-def _col(tree):
-    if _is_meta(tree):
-        return MCol(tree[1:])
+def _pairs(items, what: str):
+    if isinstance(items, str) or any(isinstance(p, str) or len(p) != 2 for p in items):
+        raise RulesError(f"{what} must list two-element forms, found {items!r}")
+    return items
+
+
+def _read(tree, sort):
+    """Read a pattern at `sort`: a pre-syntax sort, or str for a binder atom.
+    `?name` is a metavariable of the sort; in term position an atom that names
+    no term constant is a variable."""
+    if sort is str:
+        if not isinstance(tree, str):
+            raise RulesError(f"expected a binder atom, found {tree!r}")
+        return tree
+    what = _SORT_NAMES[sort]
     if isinstance(tree, str):
-        if tree in _COL_ATOMS:
-            return _COL_ATOMS[tree]()
-        raise RulesError(f"unknown collection atom {tree!r}")
-    head, *a = tree
-    match head:
-        case "list":
-            return pre.ListC(_col(a[0]))
-        case "sum":
-            return pre.Sum(_col(a[0]), _col(a[1]))
-        case "sigma":
-            return pre.Sigma(_binder(a[0]), _col(a[1]), _col(a[2]))
-        case "pi":
-            return pre.Pi(_binder(a[0]), _col(a[1]), _col(a[2]))
-        case "quot":
-            return pre.Quot(_col(a[0]), _binder(a[1]), _binder(a[2]), _prop(a[3]))
-        case "funp1":
-            return pre.FunPowOne(_col(a[0]))
-        case "compr":
-            return pre.Compr(_binder(a[0]), _prop(a[1]))
-        case "propcol":
-            return pre.PropAsCol(_prop(a[0]))
-        case "subst":
-            return SubstCol(_col(a[0]), _subst_pairs(a[1]))
-        case _:
-            raise RulesError(f"unknown collection form {head!r}")
+        if tree.startswith("?"):
+            return _METAS[sort](tree[1:])
+        cls = _HEADS.get(tree)
+        if cls is not None and issubclass(cls, sort) and not _FIELD_SORTS[cls]:
+            return cls()
+        if sort is pre.PreTerm:
+            return pre.Var(tree)
+        raise RulesError(f"unknown {what} atom {tree!r}")
+    head, args = _form(tree, f"a {what}")
+    if head == "subst" and sort in _SUBSTS:
+        _arity(head, args, 2)
+        pairs = tuple((_read(t, pre.PreTerm), _read(x, str)) for t, x in _pairs(args[1], head))
+        return _SUBSTS[sort](_read(args[0], sort), pairs)
+    cls = _HEADS.get(head)
+    if cls is None or not issubclass(cls, sort) or not _FIELD_SORTS[cls]:
+        raise RulesError(f"unknown {what} form {head!r}")
+    sorts = _FIELD_SORTS[cls]
+    _arity(head, args, len(sorts))
+    return cls(*[_read(a, s) for a, s in zip(args, sorts)])
 
 
-def _term(tree):
-    if _is_meta(tree):
-        return MTerm(tree[1:])
-    if isinstance(tree, str):
-        if tree in _TERM_ATOMS:
-            return _TERM_ATOMS[tree]()
-        return pre.Var(tree)
-    head, *a = tree
-    match head:
-        case "emp0":
-            return pre.Emp0(_term(a[0]))
-        case "eln1":
-            return pre.ElN1(_term(a[0]), _term(a[1]))
-        case "cons":
-            return pre.Cons(_term(a[0]), _term(a[1]))
-        case "ellist":
-            return pre.ElList(_col(a[0]), _term(a[1]), _term(a[2]),
-                              _binder(a[3]), _binder(a[4]), _binder(a[5]), _term(a[6]))
-        case "inl":
-            return pre.Inl(_term(a[0]))
-        case "inr":
-            return pre.Inr(_term(a[0]))
-        case "elplus":
-            return pre.ElPlus(_term(a[0]), _binder(a[1]), _term(a[2]),
-                              _binder(a[3]), _term(a[4]))
-        case "pairt":
-            return pre.PairT(_term(a[0]), _term(a[1]))
-        case "elsig":
-            return pre.ElSigma(_term(a[0]), _binder(a[1]), _binder(a[2]), _term(a[3]))
-        case "lam":
-            return pre.Lam(_binder(a[0]), _col(a[1]), _term(a[2]))
-        case "ap":
-            return pre.Ap(_term(a[0]), _term(a[1]))
-        case "cls":
-            return pre.EqCls(_term(a[0]), _col(a[1]), _binder(a[2]),
-                             _binder(a[3]), _prop(a[4]))
-        case "elq":
-            return pre.ElQuot(_col(a[0]), _binder(a[1]), _binder(a[2]), _prop(a[3]),
-                              _term(a[4]), _binder(a[5]), _term(a[6]))
-        case "pr":
-            return pre.PropIntoP1(_prop(a[0]))
-        case "name":
-            return pre.Name(_col(a[0]))
-        case "pairv":
-            return pre.PairV(_term(a[0]), _term(a[1]))
-        case "unionv":
-            return pre.UnionV(_term(a[0]))
-        case "powv":
-            return pre.PowV(_term(a[0]))
-        case "sepv":
-            return pre.SepV(_binder(a[0]), _term(a[1]), _prop(a[2]))
-        case _:
-            raise RulesError(f"unknown term form {head!r}")
-
-
-def _prop(tree):
-    if _is_meta(tree):
-        return MProp(tree[1:])
-    if isinstance(tree, str):
-        if tree == "bot":
-            return pre.BotP()
-        raise RulesError(f"unknown proposition atom {tree!r}")
-    head, *a = tree
-    match head:
-        case "epst":
-            return pre.EpsTerm(_term(a[0]), _term(a[1]))
-        case "epsc":
-            return pre.EpsCol(_term(a[0]), _col(a[1]))
-        case "eqp":
-            return pre.EqP(_col(a[0]), _term(a[1]), _term(a[2]))
-        case "imp":
-            return pre.ImpP(_prop(a[0]), _prop(a[1]))
-        case "and":
-            return pre.AndP(_prop(a[0]), _prop(a[1]))
-        case "or":
-            return pre.OrP(_prop(a[0]), _prop(a[1]))
-        case "allp":
-            return pre.ForallP(_binder(a[0]), _col(a[1]), _prop(a[2]))
-        case "exp":
-            return pre.ExistsP(_binder(a[0]), _col(a[1]), _prop(a[2]))
-        case "subst":
-            return SubstProp(_prop(a[0]), _subst_pairs(a[1]))
-        case _:
-            raise RulesError(f"unknown proposition form {head!r}")
-
-
-def _subst_pairs(tree):
-    if isinstance(tree, str):
-        raise RulesError("substitution spec must be a list of (term var) pairs")
-    return tuple((_term(p[0]), _binder(p[1])) for p in tree)
+# judgment form -> the sorts of its parts; None stands for the sort named by
+# the judgment kind that ends the form
+_JUDGMENTS = {"is": (None,), "eqtype": (None, None),
+              "elem": (pre.PreTerm, pre.PreCollection),
+              "eqelem": (pre.PreTerm, pre.PreTerm, pre.PreCollection),
+              "holds": (pre.PreProposition,)}
 
 
 def _judgment(tree) -> Judgment:
-    if isinstance(tree, str) or not tree:
-        raise RulesError(f"expected a judgment, found {tree!r}")
-    head, *a = tree
+    head, a = _form(tree, "a judgment")
     ctx: tuple = ()
     if a and not isinstance(a[-1], str) and a[-1] and a[-1][0] == "ctx":
-        ctx = tuple((_binder(e[0]), _col(e[1])) for e in a[-1][1:])
-        a = a[:-1]
-    match head:
-        case "is":
-            kind = a[1]
-            if kind not in JUDGMENT_KINDS:
-                raise RulesError(f"unknown judgment kind {kind!r}")
-            subject = _col(a[0]) if kind in ("col", "set") else _prop(a[0])
-            return Judgment("is", (subject, kind), ctx)
-        case "eqtype":
-            kind = a[2]
-            if kind not in JUDGMENT_KINDS:
-                raise RulesError(f"unknown judgment kind {kind!r}")
-            rd = _col if kind in ("col", "set") else _prop
-            return Judgment("eqtype", (rd(a[0]), rd(a[1]), kind), ctx)
-        case "elem":
-            return Judgment("elem", (_term(a[0]), _col(a[1])), ctx)
-        case "eqelem":
-            return Judgment("eqelem", (_term(a[0]), _term(a[1]), _col(a[2])), ctx)
-        case "holds":
-            return Judgment("holds", (_prop(a[0]),), ctx)
-        case _:
-            raise RulesError(f"unknown judgment form {head!r}")
+        entries = _pairs(a.pop()[1:], "ctx")
+        ctx = tuple((_read(x, str), _read(c, pre.PreCollection)) for x, c in entries)
+    sorts = _JUDGMENTS.get(head)
+    if sorts is None:
+        raise RulesError(f"unknown judgment form {head!r}")
+    if sorts[0] is not None:
+        _arity(head, a, len(sorts))
+        return Judgment(head, tuple(_read(x, s) for x, s in zip(a, sorts)), ctx)
+    _arity(head, a, len(sorts) + 1)
+    kind = a[-1]
+    if kind not in JUDGMENT_KINDS:
+        raise RulesError(f"unknown judgment kind {kind!r}")
+    sort = pre.PreCollection if kind in ("col", "set") else pre.PreProposition
+    return Judgment(head, tuple(_read(x, sort) for x in a[:-1]) + (kind,), ctx)
 
 
 def _parse_rule(tree) -> RuleSchema:
@@ -289,19 +229,20 @@ def _parse_rule(tree) -> RuleSchema:
         if item == "derived":
             derived = True
             continue
-        head = item[0]
+        head, args = _form(item, f"{rid}: a rule section")
         if head == "flavors":
-            flavors = frozenset(item[1:])
+            flavors = frozenset(args)
         elif head == "meta":
-            for m in item[1:]:
+            for m in args:
                 name, kind = m[0], m[1]
                 if kind not in KINDS:
                     raise RulesError(f"{rid}: unknown metavariable kind {kind!r}")
                 metas.append((name, kind, len(m) > 2 and m[2] == "fresh"))
         elif head == "premises":
-            premises = [_judgment(j) for j in item[1:]]
+            premises = [_judgment(j) for j in args]
         elif head == "conclusion":
-            conclusion = _judgment(item[1])
+            _arity(head, args, 1)
+            conclusion = _judgment(args[0])
         else:
             raise RulesError(f"{rid}: unknown rule section {head!r}")
     if flavors is None or conclusion is None:
@@ -311,159 +252,64 @@ def _parse_rule(tree) -> RuleSchema:
     return schema
 
 
-def _pattern_metas(node, acc: set):
-    if isinstance(node, (MCol, MTerm, MProp)):
-        acc.add(node.name)
-        return
-    if isinstance(node, (SubstCol, SubstProp)):
-        _pattern_metas(node.target, acc)
-        for repl, x in node.pairs:
-            _pattern_metas(repl, acc)
-            acc.add(x.lstrip("?"))
-        return
-    if not hasattr(node, "binding"):
-        return
-    for spec, v in zip(node.binding, node._values()):
-        if spec == "B" and isinstance(v, str) and v.startswith("?"):
-            acc.add(v[1:])
-        elif isinstance(spec, tuple):
-            _pattern_metas(v, acc)
+def _metas(*nodes) -> set:
+    """The metavariable names in patterns, binders written ?x included."""
+    acc: set = set()
+    for node in nodes:
+        if isinstance(node, str):
+            if node.startswith("?"):
+                acc.add(node[1:])
+        elif isinstance(node, (MCol, MTerm, MProp)):
+            acc.add(node.name)
+        elif isinstance(node, (SubstCol, SubstProp)):
+            acc |= _metas(node.target, *(repl for repl, _ in node.pairs))
+            acc |= {x.lstrip("?") for _, x in node.pairs}
+        else:
+            acc |= _metas(*(v for spec, v in zip(node.binding, node._values()) if spec != "X"))
+    return acc
 
 
 def _judgment_metas(j: Judgment) -> set:
-    acc: set = set()
-    for p in j.parts:
-        if not isinstance(p, str):
-            _pattern_metas(p, acc)
-    for x, col in j.ctx:
-        if x.startswith("?"):
-            acc.add(x[1:])
-        _pattern_metas(col, acc)
-    return acc
+    return _metas(*j.parts, *(p for entry in j.ctx for p in entry))
 
 
 def _validate_schema(s: RuleSchema) -> None:
     declared = {n for n, _, _ in s.metas}
     fresh = {n for n, _, f in s.metas if f}
-    used = _judgment_metas(s.conclusion)
-    for p in s.premises:
-        used |= _judgment_metas(p)
-    undecl = used - declared
+    in_premises = set().union(*map(_judgment_metas, s.premises))
+    in_conclusion = _judgment_metas(s.conclusion)
+    undecl = (in_premises | in_conclusion) - declared
     if undecl:
         raise RulesError(f"{s.id}: undeclared metavariables {sorted(undecl)}")
-    in_premises: set = set()
-    for p in s.premises:
-        in_premises |= _judgment_metas(p)
-    loose = _judgment_metas(s.conclusion) - in_premises - fresh
+    loose = in_conclusion - in_premises - fresh
     if loose:
         raise RulesError(f"{s.id}: conclusion metavariables {sorted(loose)} "
                          "occur in no premise and are not declared fresh")
 
 
-# -- rendering (inverse of the readers; round-trips through _parse_rule) -----------
-
-_COL_ATOM_NAMES = {v: k for k, v in _COL_ATOMS.items()}
-_TERM_ATOM_NAMES = {v: k for k, v in _TERM_ATOMS.items()}
-
+# -- rendering (inverse of the reader; round-trips through _parse_rule) ------------
 
 def render_pattern(node) -> str:
-    match node:
-        case MCol(name) | MTerm(name) | MProp(name):
-            return f"?{name}"
-        case SubstCol(target, pairs) | SubstProp(target, pairs):
-            inner = " ".join(f"({render_pattern(t)} {x})" for t, x in pairs)
-            return f"(subst {render_pattern(target)} ({inner}))"
-        case pre.UnivV() | pre.N0() | pre.N1() | pre.PowOne():
-            return _COL_ATOM_NAMES[type(node)]
-        case pre.ListC(a):
-            return f"(list {render_pattern(a)})"
-        case pre.Sum(a, b):
-            return f"(sum {render_pattern(a)} {render_pattern(b)})"
-        case pre.Sigma(x, a, b):
-            return f"(sigma {x} {render_pattern(a)} {render_pattern(b)})"
-        case pre.Pi(x, a, b):
-            return f"(pi {x} {render_pattern(a)} {render_pattern(b)})"
-        case pre.Quot(a, x, y, r):
-            return f"(quot {render_pattern(a)} {x} {y} {render_pattern(r)})"
-        case pre.FunPowOne(a):
-            return f"(funp1 {render_pattern(a)})"
-        case pre.Compr(x, p):
-            return f"(compr {x} {render_pattern(p)})"
-        case pre.PropAsCol(p):
-            return f"(propcol {render_pattern(p)})"
-        case pre.Var(x):
-            return x
-        case pre.Star() | pre.Eps() | pre.TrueT() | pre.EmptyV() | pre.OmegaV():
-            return _TERM_ATOM_NAMES[type(node)]
-        case pre.Emp0(a):
-            return f"(emp0 {render_pattern(a)})"
-        case pre.ElN1(a, b):
-            return f"(eln1 {render_pattern(a)} {render_pattern(b)})"
-        case pre.Cons(a, b):
-            return f"(cons {render_pattern(a)} {render_pattern(b)})"
-        case pre.ElList(A, a, b, x, y, z, c):
-            return (f"(ellist {render_pattern(A)} {render_pattern(a)} "
-                    f"{render_pattern(b)} {x} {y} {z} {render_pattern(c)})")
-        case pre.Inl(a):
-            return f"(inl {render_pattern(a)})"
-        case pre.Inr(a):
-            return f"(inr {render_pattern(a)})"
-        case pre.ElPlus(a, x, b, y, c):
-            return (f"(elplus {render_pattern(a)} {x} {render_pattern(b)} "
-                    f"{y} {render_pattern(c)})")
-        case pre.PairT(a, b):
-            return f"(pairt {render_pattern(a)} {render_pattern(b)})"
-        case pre.ElSigma(a, x, y, b):
-            return f"(elsig {render_pattern(a)} {x} {y} {render_pattern(b)})"
-        case pre.Lam(x, A, b):
-            return f"(lam {x} {render_pattern(A)} {render_pattern(b)})"
-        case pre.Ap(a, b):
-            return f"(ap {render_pattern(a)} {render_pattern(b)})"
-        case pre.EqCls(a, A, x, y, r):
-            return (f"(cls {render_pattern(a)} {render_pattern(A)} {x} {y} "
-                    f"{render_pattern(r)})")
-        case pre.ElQuot(A, x, y, r, a, z, b):
-            return (f"(elq {render_pattern(A)} {x} {y} {render_pattern(r)} "
-                    f"{render_pattern(a)} {z} {render_pattern(b)})")
-        case pre.PropIntoP1(p):
-            return f"(pr {render_pattern(p)})"
-        case pre.Name(A):
-            return f"(name {render_pattern(A)})"
-        case pre.PairV(a, b):
-            return f"(pairv {render_pattern(a)} {render_pattern(b)})"
-        case pre.UnionV(a):
-            return f"(unionv {render_pattern(a)})"
-        case pre.PowV(a):
-            return f"(powv {render_pattern(a)})"
-        case pre.SepV(x, a, p):
-            return f"(sepv {x} {render_pattern(a)} {render_pattern(p)})"
-        case pre.BotP():
-            return "bot"
-        case pre.EpsTerm(a, b):
-            return f"(epst {render_pattern(a)} {render_pattern(b)})"
-        case pre.EpsCol(a, A):
-            return f"(epsc {render_pattern(a)} {render_pattern(A)})"
-        case pre.EqP(A, a, b):
-            return f"(eqp {render_pattern(A)} {render_pattern(a)} {render_pattern(b)})"
-        case pre.ImpP(a, b):
-            return f"(imp {render_pattern(a)} {render_pattern(b)})"
-        case pre.AndP(a, b):
-            return f"(and {render_pattern(a)} {render_pattern(b)})"
-        case pre.OrP(a, b):
-            return f"(or {render_pattern(a)} {render_pattern(b)})"
-        case pre.ForallP(x, A, p):
-            return f"(allp {x} {render_pattern(A)} {render_pattern(p)})"
-        case pre.ExistsP(x, A, p):
-            return f"(exp {x} {render_pattern(A)} {render_pattern(p)})"
-        case _:
-            raise RulesError(f"cannot render pattern {node!r}")
+    if isinstance(node, str):
+        return node
+    if isinstance(node, (MCol, MTerm, MProp)):
+        return f"?{node.name}"
+    if isinstance(node, pre.Var):
+        return node.name
+    if isinstance(node, (SubstCol, SubstProp)):
+        inner = " ".join(f"({render_pattern(t)} {x})" for t, x in node.pairs)
+        return f"(subst {render_pattern(node.target)} ({inner}))"
+    head = _HEAD_OF.get(type(node))
+    if head is None:
+        raise RulesError(f"cannot render pattern {node!r}")
+    vals = node._values()
+    if not vals:
+        return head
+    return "(" + " ".join([head] + [render_pattern(v) for v in vals]) + ")"
 
 
 def render_judgment(j: Judgment) -> str:
-    parts = [p if isinstance(p, str) else render_pattern(p) for p in j.parts]
-    if j.form in ("is", "eqtype"):
-        parts = parts[:-1] + [j.parts[-1]]
-    body = " ".join(parts)
+    body = " ".join(render_pattern(p) for p in j.parts)
     if j.ctx:
         ctx = " ".join(f"({x} {render_pattern(c)})" for x, c in j.ctx)
         return f"({j.form} {body} (ctx {ctx}))"
@@ -511,6 +357,9 @@ _KIND_TYPES = {"col": pre.PreCollection, "term": pre.PreTerm,
 
 
 def instantiate(node, sub: dict, schema: RuleSchema):
+    """Replace the metavariables of a pattern; a binder ?x becomes sub["x"]."""
+    if isinstance(node, str):
+        return sub[node[1:]] if node.startswith("?") else node
     if isinstance(node, (MCol, MTerm, MProp)):
         val = sub[node.name]
         if schema.meta_kind(node.name) == "var":
@@ -518,26 +367,17 @@ def instantiate(node, sub: dict, schema: RuleSchema):
         return val
     if isinstance(node, (SubstCol, SubstProp)):
         target = instantiate(node.target, sub, schema)
-        mapping = {}
-        for repl, x in node.pairs:
-            xname = x[1:] if x.startswith("?") else x
-            mapping[sub[xname] if x.startswith("?") else xname] = instantiate(repl, sub, schema)
+        mapping = {instantiate(x, sub, schema): instantiate(repl, sub, schema)
+                   for repl, x in node.pairs}
         return subst_emtt_many(target, mapping)
-    vals = node._values()
-    new = list(vals)
-    for i, spec in enumerate(node.binding):
-        if spec == "B" and isinstance(vals[i], str) and vals[i].startswith("?"):
-            new[i] = sub[vals[i][1:]]
-        elif isinstance(spec, tuple):
-            new[i] = instantiate(vals[i], sub, schema)
-    return type(node)(*new)
+    return type(node)(*[v if spec == "X" else instantiate(v, sub, schema)
+                        for spec, v in zip(node.binding, node._values())])
 
 
 def instantiate_judgment(j: Judgment, sub: dict, schema: RuleSchema) -> Judgment:
-    parts = tuple(p if isinstance(p, str) else instantiate(p, sub, schema)
-                  for p in j.parts)
-    ctx = tuple((sub[x[1:]] if x.startswith("?") else x,
-                 instantiate(col, sub, schema)) for x, col in j.ctx)
+    parts = tuple(instantiate(p, sub, schema) for p in j.parts)
+    ctx = tuple((instantiate(x, sub, schema), instantiate(col, sub, schema))
+                for x, col in j.ctx)
     return Judgment(j.form, parts, ctx)
 
 
@@ -607,45 +447,32 @@ def match_instance(inst: RuleInstance) -> MatchReport:
 
 def parse_instance(text: str) -> RuleInstance:
     trees = read_all(text)
-    if len(trees) != 1 or trees[0][0] != "instance":
+    tree = trees[0] if len(trees) == 1 else None
+    if isinstance(tree, str) or not tree or tree[0] != "instance" or len(tree) < 2:
         raise RulesError("instance file must contain one (instance ...) form")
-    tree = trees[0]
     schema = get_rule(tree[1])
     flavor = None
     sub: dict = {}
     premises: list = []
     conclusion = None
     for item in tree[2:]:
-        head = item[0]
+        head, args = _form(item, "an instance section")
         if head == "flavor":
-            flavor = TheoryFlavor(item[1])
+            _arity(head, args, 1)
+            flavor = TheoryFlavor(args[0])
         elif head == "sub":
-            for entry in item[1:]:
-                name, val = entry[0], entry[1]
-                kind = schema.meta_kind(name)
-                if kind == "var":
-                    if not isinstance(val, str):
-                        raise RulesError(f"?{name} must be a variable name")
-                    sub[name] = val
-                elif kind in ("col",):
-                    sub[name] = _col(val)
-                elif kind == "term":
-                    sub[name] = _term(val)
-                else:
-                    sub[name] = _prop(val)
+            for name, val in _pairs(args, head):
+                sub[name] = _read(val, _KIND_TYPES[schema.meta_kind(name)])
         elif head == "premises":
-            premises = [_judgment(j) for j in item[1:]]
+            premises = [_judgment(j) for j in args]
         elif head == "conclusion":
-            conclusion = _judgment(item[1])
+            _arity(head, args, 1)
+            conclusion = _judgment(args[0])
         else:
             raise RulesError(f"unknown instance section {head!r}")
     if flavor is None or conclusion is None:
         raise RulesError("instance needs (flavor ...) and (conclusion ...)")
-    for name in sub:
-        val = sub[name]
-        if not isinstance(val, str):
-            leftover: set = set()
-            _pattern_metas(val, leftover)
-            if leftover:
-                raise RulesError(f"substitution value for ?{name} contains metavariables")
+    for name, val in sub.items():
+        if not isinstance(val, str) and _metas(val):
+            raise RulesError(f"substitution value for ?{name} contains metavariables")
     return RuleInstance(tree[1], flavor, sub, tuple(premises), conclusion)

@@ -14,6 +14,10 @@ from . import emtt_syntax as pre
 from . import set_syntax as fol
 
 
+# Deepest list nesting read; every consumer of a tree recurses once per level.
+MAX_DEPTH = 200
+
+
 class SexpError(ValueError):
     pass
 
@@ -73,15 +77,17 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse(tokens: list[str], i: int):
+def _parse(tokens: list[str], i: int, depth: int = 0):
     if i >= len(tokens):
         raise SexpError("unexpected end of input")
     t = tokens[i]
     if t == "(":
+        if depth == MAX_DEPTH:
+            raise SexpError(f"lists nested deeper than {MAX_DEPTH} levels")
         items = []
         i += 1
         while i < len(tokens) and tokens[i] != ")":
-            item, i = _parse(tokens, i)
+            item, i = _parse(tokens, i, depth + 1)
             items.append(item)
         if i >= len(tokens):
             raise SexpError("missing ')'")
@@ -143,7 +149,4 @@ def build(tree, registry: dict[str, type]):
 
 
 def loads(text: str, registry: dict[str, type]):
-    tree = read(text)
-    if isinstance(tree, list) and tree and tree[0] == "PreContext":
-        return build(tree, registry)
-    return build(tree, registry)
+    return build(read(text), registry)

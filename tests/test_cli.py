@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from mfbridge.cli import main
+from mfbridge.parser import MAX_DEPTH
+from mfbridge.sexp import MAX_DEPTH as MAX_SEXP_DEPTH
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -47,6 +49,13 @@ def test_eval_overflow_exit(tmp_path, capsys):
     assert code == 1 and "overflow" in out
 
 
+def test_eval_rejects_out_of_contract_input(tmp_path, capsys):
+    f = _write(tmp_path, "a.fm", "x = x")
+    for argv in (("--rank", "-1", "--env", "x={}"), ("--rank", "1", "--env", "x={{{}}}")):
+        code, out, err = run(capsys, "eval", *argv, f)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, (argv, out, err)
+
+
 def test_eval_missing_env(tmp_path, capsys):
     f = _write(tmp_path, "a.fm", "x = y")
     code, _, err = run(capsys, "eval", "--rank", "2", f)
@@ -57,6 +66,11 @@ def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "--property", "oneside",
                        "--seed", "7", "--samples", "50", "--rank", "3")
     assert code == 0 and "ok" in out
+
+
+def test_check_rejects_sweeps_above_rank_3(capsys):
+    code, out, err = run(capsys, "check", "--property", "axioms", "--rank", "4", "--samples", "1")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "rank" in err
 
 
 def test_check_deterministic_output(capsys):
@@ -90,6 +104,29 @@ def test_parse_error_exit_2(tmp_path, capsys):
     f = _write(tmp_path, "a.fm", "all x. (((")
     code, _, err = run(capsys, "parse", f)
     assert code == 2 and "parse error" in err
+
+
+def test_nesting_cap(tmp_path, capsys):
+    # a quantifier per level: the most parser recursion a level can cost
+    at_cap = "".join(f"all v{i}. " for i in range(MAX_DEPTH - 2)) + "x in y"
+    for text, code in ((at_cap, 0), ("not " + at_cap, 2), ("not " * 3000 + "x in y", 2)):
+        f = _write(tmp_path, "deep.fm", text)
+        for argv in (("parse",), ("translate", "--dir", "set2emtt"), ("classify",),
+                     ("eval", "--rank", "0", "--env", "x={},y={}")):
+            got, out, err = run(capsys, *argv, f)
+            assert got == code, (argv, err[-200:])
+            if code:
+                assert out == "" and len(err.splitlines()) == 1 and "nested deeper" in err
+    pair = "emptyv"
+    for _ in range(MAX_SEXP_DEPTH - 3):
+        pair = f"(pairv {pair} emptyv)"
+    for nest, code in ((pair, 1), (f"(pairv {pair} emptyv)", 2)):
+        f = _write(tmp_path, "deep.ri", f"""(instance step3.pair-formation (flavor czf)
+  (sub (a emptyv) (b omegav)) (premises (elem emptyv V) (elem omegav V))
+  (conclusion (elem {nest} V)))""")
+        got, out, err = run(capsys, "rules", "--check", f)
+        assert got == code, err[-200:]
+        assert (out.startswith("mismatch") if code == 1 else "nested deeper" in err)
 
 
 def test_translate_modes(tmp_path, capsys):
@@ -166,6 +203,17 @@ def test_rules_check(tmp_path, capsys):
 """)
     code, out, _ = run(capsys, "rules", "--check", bad)
     assert code == 1 and "mismatch" in out
+    for conclusion in ("(elem (pairv emptyv omegav V) V)", "(elem (pairv emptyv omegav) V junk)",
+                       "(elem (pairv emptyv) V)"):
+        wrong = _write(tmp_path, "arity.ri", f"""
+(instance step3.pair-formation (flavor czf)
+  (sub (a emptyv) (b omegav))
+  (premises (elem emptyv V) (elem omegav V))
+  (conclusion {conclusion}))
+""")
+        code, out, err = run(capsys, "rules", "--check", wrong)
+        assert code == 2 and out == "", conclusion
+        assert err.startswith("bad instance file: ") and len(err.splitlines()) == 1, err
 
 
 def test_usage_error_exit_2(capsys):

@@ -23,8 +23,13 @@ def test_universe_size_rank_4():
 
 
 def test_rank_guard():
+    for k in (-1, 5):
+        with pytest.raises(ValueError):
+            enumerate_universe(k)
+    # the sweep engine's tables are n x n: rank 4 is for single evaluations only
     with pytest.raises(ValueError):
-        enumerate_universe(5)
+        check_valid(Bot(), [], enumerate_universe(4))
+    assert eval_formula(Bot(), {}, enumerate_universe(4)) is False
 
 
 def test_canonical_construction_order_independent():

@@ -2,6 +2,7 @@
 consistency of the comprehension characterizations."""
 import pathlib
 import re
+from importlib import resources
 
 import pytest
 
@@ -178,9 +179,15 @@ def test_schema_instantiation_golden():
 
 def test_schema_render_parse_round_trip():
     from mfbridge.rules import _parse_rule, render_rule
-    from mfbridge.sexp import read
-    for s in load_catalog():
-        assert _parse_rule(read(render_rule(s))) == s
+    from mfbridge.sexp import read, read_all
+    asset = read_all(resources.files("mfbridge").joinpath("rules/emtt_T.rules").read_text())
+    catalog = load_catalog()
+    assert len(asset) == len(catalog) == 71
+    for s, tree in zip(catalog, asset):
+        text = render_rule(s)
+        assert _parse_rule(read(text)) == s
+        # also the asset's own tree: a fault made alike in reader and renderer shows here
+        assert read(text) == tree, s.id
 
 
 # consistency with the pre-syntax-to-set translation
