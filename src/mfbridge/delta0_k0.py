@@ -14,10 +14,13 @@ are reported as leftovers.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
-from .core import FreshNames, Node, alpha_eq, free_vars
-from .hf import Env, Overflow, SweepReport, Universe, check_valid, eval_formula
+import numpy as np
+
+from .core import FreshNames, Node, alpha_eq, free_vars, normalize_binders
+from .hf import Env, SweepReport, _sweep_arrays, check_valid, enumerate_universe
 from .set_syntax import (And, Bot, Eq, Exists, ExistsUnique, Forall, Imp, Mem,
                          Or, SetFormula, Var, elaborate, is_delta0)
 from .set_syntax import TheoryFlavor
@@ -125,7 +128,7 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
     def fail(path: str, reason: str) -> Mismatch:
         return Mismatch(path, reason)
 
-    def go(phi: SetFormula, d: K0Node, path: str) -> Mismatch | None:
+    def go(phi: SetFormula, d: K0Node, path: str, bound: frozenset = frozenset()) -> Mismatch | None:
         match d:
             case K0Atom(a):
                 if not _atom_ok(a):
@@ -139,7 +142,7 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                     return fail(path, f"unknown connective kind {kind!r}")
                 if not isinstance(phi, cls):
                     return fail(path, f"expected a {kind} connective")
-                return go(phi.left, l, path + ".left") or go(phi.right, r, path + ".right")
+                return go(phi.left, l, path + ".left", bound) or go(phi.right, r, path + ".right", bound)
             case K0Bounded(kind, z, delta, y, body):
                 if z in seen_z:
                     return fail(path, f"bound witness variable {z!r} reused")
@@ -148,6 +151,9 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                 stray = free_vars(delta) - free_vars(gamma) - {z}
                 if stray:
                     return fail(path, f"witness formula mentions {sorted(stray)} beyond gamma and {z!r}")
+                captured = sorted((free_vars(delta) | {z}) & bound)
+                if captured:
+                    return fail(path, f"witness step mentions {captured}, bound by an enclosing step")
                 seen_z.add(z)
                 if not isinstance(phi, Exists):
                     return fail(path, "expected an existential over the witness variable")
@@ -162,7 +168,7 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                     return fail(path, "witness formula differs from the certificate")
                 obligations.append(_make_obligation(gamma, z, delta))
                 if kind == "plain":
-                    return go(rest, body, path + ".body")
+                    return go(rest, body, path + ".body", bound)
                 if kind == "existsIn":
                     if not isinstance(rest, Exists):
                         return fail(path, "expected a bounded existential")
@@ -172,7 +178,7 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                         rest = Exists(y, _rename(rest.body, rest.binder, y, fresh))
                     match rest.body:
                         case And(Mem(Var(yv), Var(zv)), sub) if yv == y and zv == z:
-                            return go(sub, body, path + ".body")
+                            return go(sub, body, path + ".body", bound | {y})
                     return fail(path, "bounded existential must have shape ex y. y in z /\\ ...")
                 if kind == "forallIn":
                     if not isinstance(rest, Forall):
@@ -183,7 +189,7 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                         rest = Forall(y, _rename(rest.body, rest.binder, y, fresh))
                     match rest.body:
                         case Imp(Mem(Var(yv), Var(zv)), sub) if yv == y and zv == z:
-                            return go(sub, body, path + ".body")
+                            return go(sub, body, path + ".body", bound | {y})
                     return fail(path, "bounded universal must have shape all y. y in z -> ...")
                 return fail(path, f"unknown bounded-step kind {kind!r}")
             case _:
@@ -211,7 +217,6 @@ def discharge_obligations(obligations, rank: int) -> tuple[Obligation, ...]:
     as hf_verified at that rank, which is necessary, not sufficient.  Checked
     in strict mode: an environment where the witness escapes the universe is
     skipped, not counted against the obligation."""
-    from .hf import enumerate_universe
     U = enumerate_universe(rank)
     out = []
     for ob in obligations:
@@ -268,7 +273,6 @@ def check_separation_lemma(d: K0Node, gamma: SetFormula, rank: int,
                            var: str = "x") -> SweepReport:
     """Model-check that the derived formula admits separation: under gamma,
     every set has a subset of exactly the members satisfying the formula."""
-    from .hf import enumerate_universe
     phi = derived_formula(d)
     fresh = FreshNames.for_nodes(phi, gamma)
     v, vp = fresh("v"), fresh("v")
@@ -277,19 +281,6 @@ def check_separation_lemma(d: K0Node, gamma: SetFormula, rank: int,
     claim = Imp(gamma, Forall(v, Exists(vp, Forall(var, member))))
     U = enumerate_universe(rank)
     return check_valid(claim, free_vars(claim), U)
-
-
-def unique_witness(delta: SetFormula, z: str, env: Env, U: Universe):
-    """The unique value for z satisfying delta under env, or None if evaluation
-    overflowed or the value is not unique."""
-    hits = []
-    for el in U.elements:
-        try:
-            if eval_formula(delta, {**env, z: el}, U):
-                hits.append(el)
-        except Overflow:
-            return None
-    return hits[0] if len(hits) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -302,44 +293,45 @@ class AgreementReport:
 
 def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementReport:
     """In every environment satisfying gamma, extending by the unique
-    witnesses, the derived formula and its bound-erased image agree."""
-    import itertools
-    from .hf import enumerate_universe
+    witnesses, the derived formula and its bound-erased image agree.
+
+    Environments are gamma's free variables, sorted, in itertools.product
+    order.  Gamma overflowing skips one; gamma false leaves it uncounted.
+    Each step's z needs a witness (no overflow along z's axis of delta,
+    exactly one true cell); without one, or if the derived formula or the
+    image overflows, the environment is skipped, else it is checked.  On a
+    disagreement the counts stop there, and that environment plus its
+    witnesses is the counterexample.  Each formula is one sweep; the image
+    is swept over gamma's grid with the witnesses pinned."""
     U = enumerate_universe(rank)
     phi = derived_formula(d)
     res = k0_reconstruct(phi, gamma, d)
     if not res.ok:
         raise SigmaError(f"derivation does not reconstruct: {res.mismatch}")
     sg = sigma(d, discharge_obligations(res.obligations, rank))
-    steps = [(ob.z, ob.delta) for ob in res.obligations]
     gvars = tuple(sorted(free_vars(gamma)))
-    checked = skipped = 0
-    for combo in itertools.product(U.elements, repeat=len(gvars)):
-        env = dict(zip(gvars, combo))
-        try:
-            if not eval_formula(gamma, env, U):
-                continue
-        except Overflow:
-            skipped += 1
-            continue
-        wenv = dict(env)
-        bad = False
-        for z, delta in steps:
-            w = unique_witness(delta, z, wenv, U)
-            if w is None:
-                bad = True
-                break
-            wenv[z] = w
-        if bad:
-            skipped += 1
-            continue
-        try:
-            lhs = eval_formula(phi, env, U)
-            rhs = eval_formula(sg.formula, wenv, U)
-        except Overflow:
-            skipped += 1
-            continue
-        checked += 1
-        if lhs != rhs:
-            return AgreementReport(False, checked, skipped, wenv)
-    return AgreementReport(True, checked, skipped)
+    _, g_tr, skip = _sweep_arrays(gamma, gvars, U)
+    counted, skip = g_tr & ~skip, skip.copy()
+    pinned = {}
+    for ob in res.obligations:
+        full, tr, ov = _sweep_arrays(ob.delta, gvars + (ob.z,), U)
+        ax = full.index(ob.z)
+        lost = counted & ((tr.sum(axis=ax) != 1) | ov.any(axis=ax))
+        skip, counted = skip | lost, counted & ~lost
+        pinned[ob.z] = (gvars, tr.argmax(axis=ax))
+    # keep the image's binders off gamma's variables and the witness names,
+    # so no binder captures an axis of a pinned array
+    names = [Eq(Var(x), Var(x)) for x in gvars + tuple(pinned)]
+    image = normalize_binders(And(sg.formula, functools.reduce(And, names, Bot()))).left
+    _, p_tr, p_ov = _sweep_arrays(phi, gvars, U)
+    _, s_tr, s_ov = _sweep_arrays(image, gvars, U, pinned=pinned)
+    lost = counted & (p_ov | s_ov)
+    skip, counted = (skip | lost).ravel(), (counted & ~lost).ravel()
+    differ = counted & (p_tr != s_tr).ravel()
+    if not differ.any():
+        return AgreementReport(True, int(counted.sum()), int(skip.sum()))
+    i = int(differ.argmax())
+    cell = np.unravel_index(i, g_tr.shape)
+    env = {x: U.elements[c] for x, c in zip(gvars, cell)}
+    env.update((z, U.elements[w[cell]]) for z, (_, w) in pinned.items())
+    return AgreementReport(False, int(counted[:i + 1].sum()), int(skip[:i + 1].sum()), env)

@@ -17,11 +17,14 @@ evaluation engines.
 
 Two independent engines are provided and cross-checked in the test suite:
 
-  * eval_term / eval_formula — plain recursion on canonical HFSet values;
-  * a vectorized sweep engine used by check_valid / check_equivalence, which
-    exploits the fact that a full universe V_k enumerated in Ackermann order
-    has element index == Ackermann code, so membership and the term
-    constructors become table lookups.  Its tables are n x n, so sweeps run
+  * eval_term / eval_formula — plain recursion on canonical HFSet values; it
+    serves `mfbridge eval` and is the reference in the differential tests;
+  * a vectorized sweep engine, which exploits the fact that a full universe
+    V_k enumerated in Ackermann order has element index == Ackermann code, so
+    membership and the term constructors become table lookups.  It serves
+    check_valid / check_equivalence (the property sweeps and obligation
+    discharge) and the k0 agreement check, which pins each witness variable
+    to an index array over gamma's grid.  Its tables are n x n, so sweeps run
     at rank <= MAX_SWEEP_RANK; rank 4 (n = 65,536) is for single evaluations.
 
 The sweep over omega is truncated: omega denotes {0, ..., k-1}, so the
@@ -370,14 +373,17 @@ def _expand(dims: tuple[str, ...], arr: np.ndarray, target: tuple[str, ...]) -> 
 def _join(n: int, *dimsets) -> tuple[str, ...]:
     target = tuple(sorted(set().union(*dimsets)))
     if n ** len(target) > _MAX_CELLS:
-        raise MemoryError(f"sweep grid over {len(target)} variables exceeds engine capacity")
+        raise ValueError(f"sweep grid over {len(target)} variables exceeds the {_MAX_CELLS:,}-cell cap")
     return target
 
 
 class _SweepEngine:
-    def __init__(self, U: Universe, strict: bool = False):
+    # `pinned` maps a name to a fixed (dims, index array) value; no binder in
+    # the swept formula may reuse a pinned name or one of its dims
+    def __init__(self, U: Universe, strict: bool = False, pinned=None):
         self.U = U
         self.strict = strict
+        self.pinned = pinned or {}
         self.n = len(U.elements)
         self.mem, self.pair, self.union, self.pow, self.members = U.tables()
 
@@ -385,6 +391,8 @@ class _SweepEngine:
         n = self.n
         match t:
             case Var(x):
+                if x in self.pinned:
+                    return self.pinned[x]
                 return (x,), np.arange(n, dtype=np.int64)
             case Empty():
                 return (), np.full((), 0, dtype=np.int64)
@@ -508,10 +516,10 @@ class SweepReport:
 
 
 def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
-                  strict: bool = False):
+                  strict: bool = False, pinned=None):
     if U.k > MAX_SWEEP_RANK:
         raise ValueError(f"sweeps run at rank <= {MAX_SWEEP_RANK}, not {U.k}")
-    eng = _SweepEngine(U, strict)
+    eng = _SweepEngine(U, strict, pinned)
     dims, tr, ov = eng.formula(f)
     missing = set(dims) - set(variables)
     if missing:

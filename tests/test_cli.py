@@ -181,6 +181,28 @@ def test_sigma_refuted_obligation(tmp_path, capsys):
     assert code == 1 and "refuted" in out
 
 
+def test_sigma_rejects_witness_capture(tmp_path, capsys):
+    # each inner step refers to a name the enclosing step binds
+    g = _write(tmp_path, "g.fm", "x = x /\\ y = y")
+    for text in ("(K0Bounded existsIn z (Eq (Var z) (Pow (Var y))) x (K0Bounded forallIn u "
+                 "(Eq (Var u) (Union (Var x))) y (K0Atom (Mem (Var y) (Var x)))))",
+                 "(K0Bounded existsIn z (Eq (Var z) (Pair (Var x) (Var x))) u (K0Bounded "
+                 "existsIn u (Eq (Var u) (Union (Var x))) w (K0Atom (Mem (Var w) (Var u)))))"):
+        d = _write(tmp_path, "d.k0", text)
+        code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1, (text, out, err)
+        assert err.startswith("mismatch at root.body:") and "enclosing" in err
+
+
+def test_sigma_grid_over_the_cell_cap(tmp_path, capsys):
+    g = _write(tmp_path, "g.fm", " /\\ ".join(f"x{i} = x{i}" for i in range(1, 8)))
+    d = _write(tmp_path, "d.k0", "(K0Bounded plain z (Eq (Var z) (Empty)) _ "
+                                 "(K0Atom (Mem (Var x1) (Var x2))))")
+    code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, (out, err)
+    assert "cell cap" in err
+
+
 def test_rules_list_counts(capsys):
     for flavor, n in (("czf", 61), ("izf", 62), ("zf", 63)):
         code, out, _ = run(capsys, "rules", "--flavor", flavor, "--list")

@@ -32,6 +32,14 @@ def test_rank_guard():
     assert eval_formula(Bot(), {}, enumerate_universe(4)) is False
 
 
+def test_cell_cap_is_a_usage_error():
+    # a grid over 7 variables at rank 3 has 16**7 cells, above the cap
+    v = [Var(f"x{i}") for i in range(7)]
+    f = Eq(Pair(Pair(v[0], v[1]), Pair(v[2], v[3])), Pair(Pair(v[4], v[5]), v[6]))
+    with pytest.raises(ValueError, match="cell cap"):
+        check_valid(f, [x.name for x in v], enumerate_universe(3))
+
+
 def test_canonical_construction_order_independent():
     a = make_hf([nat(2), nat(0), nat(1)])
     b = make_hf([nat(1), nat(2), nat(0), nat(0)])
