@@ -13,7 +13,7 @@ import sys
 from . import delta0_k0, hf, properties, rules, sexp
 from . import emtt_syntax as pre
 from . import set_syntax as fol
-from .core import FreshNames, free_vars, normalize_binders
+from .core import FreshNames, Node, free_vars, normalize_binders
 from .hat import HatTranslator
 from .parser import (ParseError, parse_collection, parse_context, parse_emtt,
                      parse_prop, parse_set, parse_set_formula, parse_set_term,
@@ -106,6 +106,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _binder_depth(node: Node) -> int:
+    """Deepest nesting of quantifiers and separations in a core set node."""
+    inner = max((_binder_depth(v) for v in node._values() if isinstance(v, Node)), default=0)
+    return inner + isinstance(node, (fol.Forall, fol.Exists, fol.Sep))
+
+
 def cmd_eval(args) -> int:
     node = parse_set(_read(args.file))
     core = fol.elaborate(node)
@@ -119,6 +125,9 @@ def cmd_eval(args) -> int:
     if outside:
         print(f"environment values outside V_{U.k}: {', '.join(outside)}", file=sys.stderr)
         return 2
+    depth = _binder_depth(core)
+    if len(U) ** depth > hf._MAX_CELLS:
+        raise ValueError(f"{depth} nested binders over V_{U.k} exceed the {hf._MAX_CELLS:,}-cell cap")
     try:
         if isinstance(core, fol.SetTerm):
             print(hf.print_hf(hf.eval_term(core, env, U)))

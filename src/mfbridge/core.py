@@ -148,10 +148,6 @@ def _subst(node: Node, mapping: dict[str, Node], fresh: FreshNames) -> Node:
     return _rebuild(node, new_vals)
 
 
-def rename_var(node: Node, old: str, new: str, fresh: FreshNames | None = None) -> Node:
-    return subst1(node, old, node.var_cls(new), fresh)
-
-
 def alpha_eq(a: Node, b: Node) -> bool:
     return _alpha(a, b, {}, {}, 0)
 

@@ -154,6 +154,8 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                 captured = sorted((free_vars(delta) | {z}) & bound)
                 if captured:
                     return fail(path, f"witness step mentions {captured}, bound by an enclosing step")
+                if kind != "plain" and y == z:
+                    return fail(path, f"bounded variable {y!r} captures the step's own witness variable")
                 seen_z.add(z)
                 if not isinstance(phi, Exists):
                     return fail(path, "expected an existential over the witness variable")

@@ -21,7 +21,11 @@ Two independent engines are provided and cross-checked in the test suite:
     serves `mfbridge eval` and is the reference in the differential tests;
   * a vectorized sweep engine, which exploits the fact that a full universe
     V_k enumerated in Ackermann order has element index == Ackermann code, so
-    membership and the term constructors become table lookups.  It serves
+    membership and the term constructors become table lookups.  The tables
+    are array expressions over the codes (i is a member of j iff bit i of j
+    is set), and a separation is a gather of its bound's membership row
+    along the binder axis followed by a bit-weighted sum of the kept
+    members, so no step loops over cells in Python.  It serves
     check_valid / check_equivalence (the property sweeps and obligation
     discharge) and the k0 agreement check, which pins each witness variable
     to an index array over gamma's grid.  Its tables are n x n, so sweeps run
@@ -161,11 +165,11 @@ class Universe:
         self.k = k
         level = [EMPTY]
         for _ in range(k):
-            level = [make_hf(level[j] for j in range(len(level)) if (mask >> j) & 1)
-                     for mask in range(1 << len(level))]
-            level.sort()
+            # code c's members are the sets whose codes are c's bits; codes
+            # grow with rank, so the last member has the largest rank
+            level = [HFSet(kids := tuple(s for s in level if c >> s.code & 1), c,
+                           kids[-1].rank + 1 if kids else 0) for c in range(1 << len(level))]
         self.elements: list[HFSet] = level
-        assert [s.code for s in self.elements] == list(range(len(level)))
         self.omega = make_hf(nat(i) for i in range(k))
         self._tables = None
 
@@ -177,46 +181,18 @@ class Universe:
             raise Overflow(f"value of rank {s.rank} not in V_{self.k}")
         return s.code
 
-    def admit(self, s: HFSet) -> HFSet:
-        if s.rank > self.k:
-            raise Overflow(f"value of rank {s.rank} exceeds rank bound {self.k}")
-        return s
-
     def tables(self):
+        """(mem, pair, union, pow) as index tables over codes; -1 = escapes V_k."""
         if self._tables is None:
             n = len(self.elements)
-            mem = np.zeros((n, n), dtype=bool)
-            for i in range(n):
-                for j in range(n):
-                    mem[i, j] = bool((j >> i) & 1)
-            pair = np.full((n, n), -1, dtype=np.int64)
-            for i in range(n):
-                for j in range(n):
-                    c = (1 << i) | (1 << j)
-                    if c < n:
-                        pair[i, j] = c
-            union = np.zeros(n, dtype=np.int64)
-            for i in range(n):
-                c = 0
-                for j in range(n):
-                    if (i >> j) & 1:
-                        c |= j
-                union[i] = c
-            pw = np.full(n, -1, dtype=np.int64)
-            for i in range(n):
-                bits = [j for j in range(n) if (i >> j) & 1]
-                c = 0
-                for r in range(len(bits) + 1):
-                    for comb in itertools.combinations(bits, r):
-                        sub = 0
-                        for j in comb:
-                            sub |= 1 << j
-                        c += 1 << sub
-                        if c >= 1 << n:
-                            break
-                pw[i] = c if c < n else -1
-            members = [tuple(j for j in range(n) if (i >> j) & 1) for i in range(n)]
-            self._tables = (mem, pair, union, pw, members)
+            code = np.arange(n, dtype=np.int64)
+            mem = ((code[None, :] >> code[:, None]) & 1).astype(bool)  # bit i of j
+            bit = 1 << code
+            pair = bit[:, None] | bit[None, :]
+            union = np.bitwise_or.reduce(np.where(mem, code[:, None], 0), axis=0)
+            subset = (code[:, None] & code[None, :]) == code[:, None]  # s within i
+            pw = np.where(subset, bit[:, None], 0).sum(axis=0)
+            self._tables = (mem, np.where(pair < n, pair, -1), union, np.where(pw < n, pw, -1))
         return self._tables
 
 
@@ -385,33 +361,35 @@ class _SweepEngine:
         self.strict = strict
         self.pinned = pinned or {}
         self.n = len(U.elements)
-        self.mem, self.pair, self.union, self.pow, self.members = U.tables()
+        self.mem, self.pair, self.union, self.pow = U.tables()
+
+    def _terms(self, a: SetTerm, b: SetTerm):
+        da, va = self.term(a)
+        db, vb = self.term(b)
+        dims = _join(self.n, da, db)
+        return dims, _expand(da, va, dims), _expand(db, vb, dims)
 
     def term(self, t: SetTerm):
-        n = self.n
         match t:
             case Var(x):
                 if x in self.pinned:
                     return self.pinned[x]
-                return (x,), np.arange(n, dtype=np.int64)
+                return (x,), np.arange(self.n, dtype=np.int64)
             case Empty():
                 return (), np.full((), 0, dtype=np.int64)
             case Omega():
                 return (), np.full((), self.U.index_of(self.U.omega), dtype=np.int64)
             case Pair(a, b):
-                da, va = self.term(a)
-                db, vb = self.term(b)
-                dims = _join(n, da, db)
-                va, vb = _expand(da, va, dims), _expand(db, vb, dims)
-                out = self.pair[np.where(va < 0, 0, va), np.where(vb < 0, 0, vb)]
+                dims, va, vb = self._terms(a, b)
+                out = self.pair[np.maximum(va, 0), np.maximum(vb, 0)]
                 out = np.where((va == -2) | (vb == -2), -2, out)
                 return dims, np.where((va == -1) | (vb == -1), -1, out)
             case Union(a):
                 da, va = self.term(a)
-                return da, np.where(va < 0, -2, self.union[np.where(va < 0, 0, va)])
+                return da, np.where(va < 0, -2, self.union[np.maximum(va, 0)])
             case Pow(a):
                 da, va = self.term(a)
-                out = np.where(va == -2, -2, self.pow[np.where(va < 0, 0, va)])
+                out = np.where(va == -2, -2, self.pow[np.maximum(va, 0)])
                 return da, np.where(va == -1, -1, out)
             case Sep(x, bound, body):
                 return self._sep(x, bound, body)
@@ -419,60 +397,34 @@ class _SweepEngine:
                 raise TypeError(f"not a core set term: {t!r}")
 
     def _sep(self, x: str, bound: SetTerm, body: SetFormula):
-        n = self.n
+        # gather the bound's membership row along the binder axis, then sum
+        # the bits of the members the body keeps; any overflowing member
+        # (or an escaping bound) leaves the value undetermined
         db, vb = self.term(bound)
         df, tr, ov = self.formula(body)
-        out_dims = _join(n, db, set(df) - {x})
-        full = _join(n, out_dims, {x})
+        out_dims = _join(self.n, db, set(df) - {x})
+        full = _join(self.n, out_dims, {x})
         xpos = full.index(x)
-        shape_out = (n,) * len(out_dims)
-        B = np.broadcast_to(_expand(db, vb, out_dims), shape_out)
-        T = np.broadcast_to(_expand(df, tr, full), (n,) * len(full))
-        O = np.broadcast_to(_expand(df, ov, full), (n,) * len(full))
-        out = np.empty(shape_out, dtype=np.int64)
-        pos_of = [full.index(d) for d in out_dims]
-        for ix in np.ndindex(*shape_out):
-            b = B[ix]
-            if b < 0:
-                out[ix] = -2
-                continue
-            coord = [0] * len(full)
-            for p, v in zip(pos_of, ix):
-                coord[p] = v
-            code = 0
-            bad = False
-            for m in self.members[b]:
-                coord[xpos] = m
-                c = tuple(coord)
-                if O[c]:
-                    bad = True
-                    break
-                if T[c]:
-                    code |= 1 << m
-            out[ix] = -2 if bad else code
-        return out_dims, out
+        B = _expand(db, vb, out_dims)
+        inb = np.moveaxis(self.mem[:, np.maximum(B, 0)], 0, xpos)
+        bad = (B < 0) | (inb & _expand(df, ov, full)).any(axis=xpos)
+        code = np.moveaxis(inb & _expand(df, tr, full), xpos, -1) @ (1 << np.arange(self.n))
+        return out_dims, np.where(bad, -2, code)
 
     def formula(self, f: SetFormula):
-        n = self.n
         match f:
             case Bot():
                 return (), np.full((), False), np.full((), False)
             case Eq(a, b):
-                da, va = self.term(a)
-                db, vb = self.term(b)
-                dims = _join(n, da, db)
-                va, vb = _expand(da, va, dims), _expand(db, vb, dims)
+                dims, va, vb = self._terms(a, b)
                 if self.strict:
                     ov = (va < 0) | (vb < 0)
                 else:
                     ov = (va == -2) | (vb == -2) | ((va == -1) & (vb == -1))
                 return dims, (va == vb) & (va >= 0), ov
             case Mem(a, b):
-                da, va = self.term(a)
-                db, vb = self.term(b)
-                dims = _join(n, da, db)
-                va, vb = _expand(da, va, dims), _expand(db, vb, dims)
-                tr = self.mem[np.where(va < 0, 0, va), np.where(vb < 0, 0, vb)]
+                dims, va, vb = self._terms(a, b)
+                tr = self.mem[np.maximum(va, 0), np.maximum(vb, 0)]
                 if self.strict:
                     ov = (va < 0) | (vb < 0)
                 else:
@@ -481,7 +433,7 @@ class _SweepEngine:
             case And(l, r) | Or(l, r) | Imp(l, r):
                 dl, tl, ol = self.formula(l)
                 dr, tr, orr = self.formula(r)
-                dims = _join(n, dl, dr)
+                dims = _join(self.n, dl, dr)
                 tl, ol = _expand(dl, tl, dims), _expand(dl, ol, dims)
                 tr, orr = _expand(dr, tr, dims), _expand(dr, orr, dims)
                 if isinstance(f, And):
@@ -519,46 +471,38 @@ def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
                   strict: bool = False, pinned=None):
     if U.k > MAX_SWEEP_RANK:
         raise ValueError(f"sweeps run at rank <= {MAX_SWEEP_RANK}, not {U.k}")
-    eng = _SweepEngine(U, strict, pinned)
-    dims, tr, ov = eng.formula(f)
-    missing = set(dims) - set(variables)
+    dims, tr, ov = _SweepEngine(U, strict, pinned).formula(f)
+    full = tuple(sorted(set(variables)))
+    missing = set(dims) - set(full)
     if missing:
         raise EvalError(f"free variables {sorted(missing)} not among sweep variables")
-    full = tuple(sorted(variables))
     shape = (len(U.elements),) * len(full)
     tr = np.broadcast_to(_expand(dims, tr, full), shape)
     ov = np.broadcast_to(_expand(dims, ov, full), shape)
     return full, tr, ov
 
 
-def _first_env(mask: np.ndarray, variables: tuple[str, ...], U: Universe) -> Env:
-    ix = np.argwhere(mask)[0]
-    return {v: U.elements[i] for v, i in zip(variables, ix)}
+def _report(bad: np.ndarray, skip: np.ndarray, full: tuple[str, ...], U: Universe) -> SweepReport:
+    """The first bad cell (in grid order) is the counterexample."""
+    cex = None
+    if bad.any():
+        cex = {v: U.elements[i] for v, i in zip(full, np.argwhere(bad)[0])}
+    return SweepReport(cex is None, cex, int(skip.sum()), bad.size)
 
 
 def check_valid(f: SetFormula, variables, U: Universe,
                 strict: bool = False) -> SweepReport:
     """True in every environment over `variables` that does not overflow."""
-    variables = tuple(sorted(set(variables)))
     full, tr, ov = _sweep_arrays(f, variables, U, strict)
-    bad = ~tr & ~ov
-    total = int(np.prod([len(U.elements)] * len(full), dtype=np.int64)) if full else 1
-    if bad.any():
-        return SweepReport(False, _first_env(bad, full, U), int(ov.sum()), total)
-    return SweepReport(True, None, int(ov.sum()), total)
+    return _report(~tr & ~ov, ov, full, U)
 
 
 def check_equivalence(f: SetFormula, g: SetFormula, variables, U: Universe) -> SweepReport:
     """Exhaustively compare truth values; overflowing environments are skipped."""
-    variables = tuple(sorted(set(variables)))
     full, t1, o1 = _sweep_arrays(f, variables, U)
     _, t2, o2 = _sweep_arrays(g, variables, U)
     skip = o1 | o2
-    diff = (t1 != t2) & ~skip
-    total = int(np.prod([len(U.elements)] * len(full), dtype=np.int64)) if full else 1
-    if diff.any():
-        return SweepReport(False, _first_env(diff, full, U), int(skip.sum()), total)
-    return SweepReport(True, None, int(skip.sum()), total)
+    return _report((t1 != t2) & ~skip, skip, full, U)
 
 
 def standard_axioms() -> list[tuple[str, SetFormula]]:

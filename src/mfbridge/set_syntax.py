@@ -258,14 +258,6 @@ def is_core(node: SetNode) -> bool:
     return not any(isinstance(n, SUGAR_CLASSES) for n in walk(node))
 
 
-def singleton(t: SetTerm) -> SetTerm:
-    return Pair(t, t)
-
-
-def ordered_pair(a: SetTerm, b: SetTerm) -> SetTerm:
-    return Pair(singleton(a), Pair(a, b))
-
-
 def elaborate(node: SetNode, fresh: FreshNames | None = None) -> SetNode:
     """Expand every sugar node into core constructors.
 

@@ -46,6 +46,8 @@ def test_criterion_1_round_trip_soundness():
                                      sample_count=500), term_count=200)
     dt = time.monotonic() - t0
     ok = report.ok and report.samples == 700 and dt < 60
+    ok = ok and report.render() == ("property oneside: ok (700 samples, "
+                                    "1024 overflow-skipped envs, 139 regenerated)")
     _line(1, "round-trip soundness", ok,
           f"({report.samples} samples, {dt:.1f}s)" if ok else report.render())
 
@@ -56,6 +58,8 @@ def test_criterion_2_value_description_functionality():
                                               sample_count=300))
     dt = time.monotonic() - t0
     ok = report.ok and report.samples == 300 and dt < 60
+    ok = ok and report.render() == ("property deltafun: ok (300 samples, "
+                                    "0 overflow-skipped envs, 67 regenerated)")
     _line(2, "value-description functionality", ok,
           f"({report.samples} samples, {dt:.1f}s)" if ok else report.render())
 
@@ -66,6 +70,8 @@ def test_criterion_3_substitution_lemma():
                                           sample_count=300))
     dt = time.monotonic() - t0
     ok = report.ok and report.samples == 300 and dt < 120
+    ok = ok and report.render() == ("property subst: ok (300 samples, "
+                                    "10640 overflow-skipped envs, 70 regenerated)")
     _line(3, "substitution lemma", ok,
           f"({report.samples} samples, {dt:.1f}s)" if ok else report.render())
 
@@ -80,11 +86,14 @@ def test_criterion_4_free_variable_contract():
 
 def test_criterion_5_axiom_sanity():
     U = enumerate_universe(RANK)
-    bad = []
+    bad, skipped = [], 0
     for name, ax in standard_axioms():
         rep = check_valid(ax, free_vars(ax), U)
+        skipped += rep.skipped
         if not rep.ok:
             bad.append(name)
+    if skipped != 4032:
+        bad.append(f"{skipped} skipped environments, not 4032")
     _line(5, "axiom sanity", not bad, f"({len(standard_axioms())} axiom forms)"
           if not bad else f"failing: {bad}")
 

@@ -2,6 +2,7 @@
 import io
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_eval_rejects_out_of_contract_input(tmp_path, capsys):
     for argv in (("--rank", "-1", "--env", "x={}"), ("--rank", "1", "--env", "x={{{}}}")):
         code, out, err = run(capsys, "eval", *argv, f)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, (argv, out, err)
+
+
+def test_eval_over_the_cell_cap(tmp_path, capsys):
+    # 65,536 ** 2 environments at rank 4: refused before evaluation starts
+    f = _write(tmp_path, "a.fm", "all x. all y. x = y")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "eval", "--rank", "4", f)
+    assert time.monotonic() - t0 < 1
+    assert code == 2 and out == "" and len(err.splitlines()) == 1, (out, err)
+    assert err.startswith("error:") and "cell cap" in err
+    code, out, _ = run(capsys, "eval", "--rank", "3", f)
+    assert code == 0 and out.strip() == "false"
 
 
 def test_eval_missing_env(tmp_path, capsys):
@@ -182,16 +195,22 @@ def test_sigma_refuted_obligation(tmp_path, capsys):
 
 
 def test_sigma_rejects_witness_capture(tmp_path, capsys):
-    # each inner step refers to a name the enclosing step binds
+    # each inner step refers to a name the enclosing step binds; in the last
+    # derivation the bounded variable z is the step's own witness variable
     g = _write(tmp_path, "g.fm", "x = x /\\ y = y")
-    for text in ("(K0Bounded existsIn z (Eq (Var z) (Pow (Var y))) x (K0Bounded forallIn u "
-                 "(Eq (Var u) (Union (Var x))) y (K0Atom (Mem (Var y) (Var x)))))",
-                 "(K0Bounded existsIn z (Eq (Var z) (Pair (Var x) (Var x))) u (K0Bounded "
-                 "existsIn u (Eq (Var u) (Union (Var x))) w (K0Atom (Mem (Var w) (Var u)))))"):
+    for text, where, why in (
+            ("(K0Bounded existsIn z (Eq (Var z) (Pow (Var y))) x (K0Bounded forallIn u "
+             "(Eq (Var u) (Union (Var x))) y (K0Atom (Mem (Var y) (Var x)))))",
+             "root.body", "enclosing"),
+            ("(K0Bounded existsIn z (Eq (Var z) (Pair (Var x) (Var x))) u (K0Bounded "
+             "existsIn u (Eq (Var u) (Union (Var x))) w (K0Atom (Mem (Var w) (Var u)))))",
+             "root.body", "enclosing"),
+            ("(K0Bounded existsIn z (Eq (Var z) (Pair (Var x) (Var x))) z "
+             "(K0Atom (Mem (Var z) (Var x))))", "root", "own witness")):
         d = _write(tmp_path, "d.k0", text)
         code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
         assert code == 1 and out == "" and len(err.splitlines()) == 1, (text, out, err)
-        assert err.startswith("mismatch at root.body:") and "enclosing" in err
+        assert err.startswith(f"mismatch at {where}:") and why in err
 
 
 def test_sigma_grid_over_the_cell_cap(tmp_path, capsys):

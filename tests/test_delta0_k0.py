@@ -173,6 +173,14 @@ def test_capture_by_an_enclosing_bound_variable_is_a_mismatch():
     assert not res.ok and res.mismatch.path == "root.body"
     assert "enclosing" in res.mismatch.reason
 
+    # the bounded variable z is the step's own witness variable:
+    # ex z. (z = {x, x} /\ ex z. z in z /\ z in x)
+    for kind, atom in (("existsIn", Mem(Var("z"), Var("x"))), ("forallIn", Bot())):
+        d = K0Bounded(kind, "z", Eq(Var("z"), Pair(Var("x"), Var("x"))), "z", K0Atom(atom))
+        res = k0_reconstruct(derived_formula(d), _gamma("x = x"), d)
+        assert not res.ok and res.mismatch.path == "root"
+        assert "own witness" in res.mismatch.reason
+
 
 # -- differential test of the agreement check ---------------------------------
 #

@@ -32,6 +32,22 @@ def test_rank_guard():
     assert eval_formula(Bot(), {}, enumerate_universe(4)) is False
 
 
+def test_tables_match_hf_operations():
+    # every table entry against the canonical construction; -1 = escapes V_k
+    for k in range(4):
+        U = enumerate_universe(k)
+        mem, pair, union, pw = U.tables()
+        code = lambda s: s.code if s.code < len(U) else -1
+        for a in U.elements:
+            assert union[a.code] == make_hf(c for m in a.children for c in m.children).code
+            subsets = [make_hf(comb) for r in range(len(a.children) + 1)
+                       for comb in itertools.combinations(a.children, r)]
+            assert pw[a.code] == code(make_hf(subsets))
+            for b in U.elements:
+                assert mem[a.code, b.code] == b.has_member(a)
+                assert pair[a.code, b.code] == code(make_hf((a, b)))
+
+
 def test_cell_cap_is_a_usage_error():
     # a grid over 7 variables at rank 3 has 16**7 cells, above the cap
     v = [Var(f"x{i}") for i in range(7)]
@@ -148,26 +164,26 @@ def test_extensionality_by_construction():
 
 # dual-engine agreement: the vectorized sweep must agree with plain recursion
 
-def _sweep_recursive(f, variables, U):
+def _sweep_recursive(f, variables, U, strict):
     out = {}
     for combo in itertools.product(U.elements, repeat=len(variables)):
         env = dict(zip(variables, combo))
         try:
-            out[combo] = eval_formula(f, env, U)
+            out[combo] = eval_formula(f, env, U, strict)
         except Overflow:
             out[combo] = None
     return out
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 100000))
-def test_engines_agree(seed):
+@given(st.integers(0, 100000), st.booleans())
+def test_engines_agree(seed, strict):
     from mfbridge.properties import GenConfig, gen_set_formula
     f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=3)))
     variables = tuple(sorted(free_vars(f)))
     U = enumerate_universe(2)
-    want = _sweep_recursive(f, variables, U)
-    full, tr, ov = hf._sweep_arrays(f, variables, U)
+    want = _sweep_recursive(f, variables, U, strict)
+    full, tr, ov = hf._sweep_arrays(f, variables, U, strict)
     for combo, val in want.items():
         idx = tuple(U.index_of(v) for v in combo)
         got = None if ov[idx] else bool(tr[idx])
@@ -175,14 +191,14 @@ def test_engines_agree(seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 100000))
-def test_engines_agree_rank3(seed):
+@given(st.integers(0, 100000), st.booleans())
+def test_engines_agree_rank3(seed, strict):
     from mfbridge.properties import GenConfig, gen_set_formula
     f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2)))
     variables = tuple(sorted(free_vars(f)))
     U = enumerate_universe(3)
-    want = _sweep_recursive(f, variables, U)
-    full, tr, ov = hf._sweep_arrays(f, variables, U)
+    want = _sweep_recursive(f, variables, U, strict)
+    full, tr, ov = hf._sweep_arrays(f, variables, U, strict)
     for combo, val in want.items():
         idx = tuple(U.index_of(v) for v in combo)
         got = None if ov[idx] else bool(tr[idx])
