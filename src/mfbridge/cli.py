@@ -106,10 +106,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _binder_depth(node: Node) -> int:
-    """Deepest nesting of quantifiers and separations in a core set node."""
-    inner = max((_binder_depth(v) for v in node._values() if isinstance(v, Node)), default=0)
-    return inner + isinstance(node, (fol.Forall, fol.Exists, fol.Sep))
+def _quantifier_depth(node: Node) -> int:
+    """Deepest nesting of quantifiers in a core set node.  Each quantifier
+    walks all of V_k; a separation walks only its bound's members, at most
+    log2 |V_k| of them, so it is not counted."""
+    inner = max((_quantifier_depth(v) for v in node._values() if isinstance(v, Node)), default=0)
+    return inner + isinstance(node, (fol.Forall, fol.Exists))
 
 
 def cmd_eval(args) -> int:
@@ -125,9 +127,9 @@ def cmd_eval(args) -> int:
     if outside:
         print(f"environment values outside V_{U.k}: {', '.join(outside)}", file=sys.stderr)
         return 2
-    depth = _binder_depth(core)
+    depth = _quantifier_depth(core)
     if len(U) ** depth > hf._MAX_CELLS:
-        raise ValueError(f"{depth} nested binders over V_{U.k} exceed the {hf._MAX_CELLS:,}-cell cap")
+        raise ValueError(f"{depth} nested quantifiers over V_{U.k} exceed the {hf._MAX_CELLS:,}-cell cap")
     try:
         if isinstance(core, fol.SetTerm):
             print(hf.print_hf(hf.eval_term(core, env, U)))

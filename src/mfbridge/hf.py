@@ -182,7 +182,11 @@ class Universe:
         return s.code
 
     def tables(self):
-        """(mem, pair, union, pow) as index tables over codes; -1 = escapes V_k."""
+        """(mem, pair, union, pow) as index tables over codes; -1 = escapes V_k.
+
+        Codes are int64 bit masks, so the tables exist only for sweep ranks."""
+        if self.k > MAX_SWEEP_RANK:
+            raise ValueError(f"tables exist at rank <= {MAX_SWEEP_RANK}, not {self.k}")
         if self._tables is None:
             n = len(self.elements)
             code = np.arange(n, dtype=np.int64)
@@ -399,8 +403,12 @@ class _SweepEngine:
     def _sep(self, x: str, bound: SetTerm, body: SetFormula):
         # gather the bound's membership row along the binder axis, then sum
         # the bits of the members the body keeps; any overflowing member
-        # (or an escaping bound) leaves the value undetermined
+        # (or an escaping bound) leaves the value undetermined.  The gather
+        # adds the binder axis next to the bound's, so the binder must not
+        # be one of them: Sep keeps it out of the bound's free variables,
+        # and `pinned`'s contract keeps it off the pinned dims
         db, vb = self.term(bound)
+        assert x not in db, f"separation binder {x!r} is an axis of its bound"
         df, tr, ov = self.formula(body)
         out_dims = _join(self.n, db, set(df) - {x})
         full = _join(self.n, out_dims, {x})

@@ -69,6 +69,15 @@ def test_eval_over_the_cell_cap(tmp_path, capsys):
     assert code == 0 and out.strip() == "false"
 
 
+def test_eval_does_not_count_separations(tmp_path, capsys):
+    # a separation walks only its bound's members, so these run at rank 4
+    for text, want in (("p1(x) = y", "true"),
+                       ("{a in {b in y | b in x} | a in y} = x", "false")):
+        f = _write(tmp_path, "a.fm", text)
+        code, out, err = run(capsys, "eval", "--rank", "4", "--env", "x={{}},y={}", f)
+        assert (code, out.strip(), err) == (0, want, ""), (text, out, err)
+
+
 def test_eval_missing_env(tmp_path, capsys):
     f = _write(tmp_path, "a.fm", "x = y")
     code, _, err = run(capsys, "eval", "--rank", "2", f)

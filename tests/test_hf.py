@@ -29,6 +29,8 @@ def test_rank_guard():
     # the sweep engine's tables are n x n: rank 4 is for single evaluations only
     with pytest.raises(ValueError):
         check_valid(Bot(), [], enumerate_universe(4))
+    with pytest.raises(ValueError):
+        enumerate_universe(4).tables()
     assert eval_formula(Bot(), {}, enumerate_universe(4)) is False
 
 
@@ -164,15 +166,17 @@ def test_extensionality_by_construction():
 
 # dual-engine agreement: the vectorized sweep must agree with plain recursion
 
-def _sweep_recursive(f, variables, U, strict):
-    out = {}
+def _assert_engines_agree(f, U, strict):
+    variables = tuple(sorted(free_vars(f)))
+    _, tr, ov = hf._sweep_arrays(f, variables, U, strict)
     for combo in itertools.product(U.elements, repeat=len(variables)):
-        env = dict(zip(variables, combo))
         try:
-            out[combo] = eval_formula(f, env, U, strict)
+            want = eval_formula(f, dict(zip(variables, combo)), U, strict)
         except Overflow:
-            out[combo] = None
-    return out
+            want = None
+        idx = tuple(U.index_of(v) for v in combo)
+        got = None if ov[idx] else bool(tr[idx])
+        assert got == want, (combo, got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,14 +184,23 @@ def _sweep_recursive(f, variables, U, strict):
 def test_engines_agree(seed, strict):
     from mfbridge.properties import GenConfig, gen_set_formula
     f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=3)))
-    variables = tuple(sorted(free_vars(f)))
-    U = enumerate_universe(2)
-    want = _sweep_recursive(f, variables, U, strict)
-    full, tr, ov = hf._sweep_arrays(f, variables, U, strict)
-    for combo, val in want.items():
-        idx = tuple(U.index_of(v) for v in combo)
-        got = None if ov[idx] else bool(tr[idx])
-        assert got == val, (combo, got, val)
+    _assert_engines_agree(f, enumerate_universe(2), strict)
+
+
+# the generator names every binder apart; these reuse a binder as a free
+# variable of the enclosing formula, and as the binder of an inner separation
+SHADOWING = [
+    "{x in y | empty in x} = x",
+    "{x in {x in y | empty in x} | x in z} = x",
+    "all x. {y in x | x in y} = y",
+    "ex x. x in {x in z | x in y} /\\ x in y",
+]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("text", SHADOWING)
+def test_engines_agree_on_shadowing_binders(text, strict):
+    _assert_engines_agree(elaborate(parse_set_formula(text)), enumerate_universe(2), strict)
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,11 +208,4 @@ def test_engines_agree(seed, strict):
 def test_engines_agree_rank3(seed, strict):
     from mfbridge.properties import GenConfig, gen_set_formula
     f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2)))
-    variables = tuple(sorted(free_vars(f)))
-    U = enumerate_universe(3)
-    want = _sweep_recursive(f, variables, U, strict)
-    full, tr, ov = hf._sweep_arrays(f, variables, U, strict)
-    for combo, val in want.items():
-        idx = tuple(U.index_of(v) for v in combo)
-        got = None if ov[idx] else bool(tr[idx])
-        assert got == val, (combo, got, val)
+    _assert_engines_agree(f, enumerate_universe(3), strict)

@@ -2,7 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mfbridge import sexp
 from mfbridge.core import FreshNames, alpha_eq, free_vars
+from mfbridge.parser import parse_set_term
 from mfbridge.set_syntax import (And, BExists, BForall, Bot, Cup, Empty, Eq,
                                  Exists, ExistsUnique, Forall, Iff, Imp, Len,
                                  Mem, Neg, Omega, One, OrderedPair, P1of, P2of,
@@ -14,8 +16,13 @@ CZF, IZF, ZF = TheoryFlavor.CZF, TheoryFlavor.IZF, TheoryFlavor.ZF
 
 
 def test_sep_guard_rejected_at_construction():
+    # the sweep kernel's separation gather relies on this on every input path
     with pytest.raises(ValueError):
         Sep("x", Var("x"), Bot())
+    with pytest.raises(sexp.SexpError):
+        sexp.loads("(Sep x (Var x) (Mem (Empty) (Var x)))", sexp.SET_REGISTRY)
+    with pytest.raises(ValueError):
+        parse_set_term("{x in {y in x | y in y} | x in x}")
     with pytest.raises(ValueError):
         BForall("x", Pair(Var("x"), Empty()), Bot())
 
