@@ -106,6 +106,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# Environments `eval` may walk: the recursive evaluator visits each one in
+# Python, and 16^5 of them (five nested quantifiers at rank 3) take about 3 s.
+EVAL_MAX_CELLS = 2 ** 20
+
+
 def _quantifier_depth(node: Node) -> int:
     """Deepest nesting of quantifiers in a core set node.  Each quantifier
     walks all of V_k; a separation walks only its bound's members, at most
@@ -128,8 +133,9 @@ def cmd_eval(args) -> int:
         print(f"environment values outside V_{U.k}: {', '.join(outside)}", file=sys.stderr)
         return 2
     depth = _quantifier_depth(core)
-    if len(U) ** depth > hf._MAX_CELLS:
-        raise ValueError(f"{depth} nested quantifiers over V_{U.k} exceed the {hf._MAX_CELLS:,}-cell cap")
+    if len(U) ** depth > EVAL_MAX_CELLS:
+        raise ValueError(f"{depth} nested quantifiers over V_{U.k} exceed eval's "
+                         f"{EVAL_MAX_CELLS:,}-cell cap")
     try:
         if isinstance(core, fol.SetTerm):
             print(hf.print_hf(hf.eval_term(core, env, U)))

@@ -399,10 +399,6 @@ def precontext_wf(ctx: PreContext) -> ContextViolation | None:
 
 # -- spec'd operation names -----------------------------------------------------
 
-def free_vars_emtt(node: EmttNode) -> frozenset[str]:
-    return free_vars(node)
-
-
 def subst_emtt(node: EmttNode, name: str, term: PreTerm,
                fresh: FreshNames | None = None) -> EmttNode:
     return subst1(node, name, term, fresh)

@@ -1,241 +1,173 @@
-"""ASCII pretty-printers for both languages.
+"""ASCII notation of both languages, declared once, and its printer.
 
-Printing is a pure function of the AST (no state), parenthesizes by
-precedence only where re-parsing would otherwise differ, and round-trips
-through the parsers: parse(print(x)) == x structurally.
+`NOTATION` gives each node class (other than the two `Var` classes, which
+print as their name) a precedence level and a sequence of items: literal
+text, or a slot for one of the node's fields.  A slot is a field index, or
+`(index, level)` with level 0 when not given; a child in a slot is
+parenthesized when its own level is below the slot's.  `parser` reads the
+same table, so parse(print(x)) == x structurally.  The first item of a
+notation decides its kind of form:
 
-Connective precedence (loose to tight): <->  ->  \\/  /\\  not; quantifiers
-extend maximally to the right and parenthesize as operands.
+* literal text first: a prefix form (a quantifier, `not`, `Un(`, `{`, ...);
+* a slot of the node's own sort first: an operator (`/\\`, `->`, `+`, ...);
+* a slot of another sort first: an atom (`t1 in t2`, `a eps A`, ...).
+
+Forms that share their first token are listed in the order the parser
+tries them.  Connective precedence (loose to tight): <->  ->  \\/  /\\  not.
+Binders have level 0: they extend maximally to the right and parenthesize
+as operands.
 """
 from __future__ import annotations
 
+from dataclasses import fields
+
 from . import emtt_syntax as pre
 from . import set_syntax as fol
-
-# -- set language ----------------------------------------------------------------
+from .core import VarNode
 
 _IFF, _IMP, _OR, _AND, _NOT, _ATOM = 1, 2, 3, 4, 5, 6
+_SUM = 1  # A + B: a collection slot at _ATOM takes no sum and no binder
+
+NOTATION = {
+    # set terms
+    fol.Empty: (_ATOM, ("empty",)),
+    fol.Omega: (_ATOM, ("omega",)),
+    fol.Zero: (_ATOM, ("0",)),
+    fol.One: (_ATOM, ("1",)),
+    fol.Sep: (_ATOM, ("{", 0, " in ", 1, " | ", 2, "}")),
+    fol.Pair: (_ATOM, ("{", 0, ", ", 1, "}")),
+    fol.Union: (_ATOM, ("Un(", 0, ")")),
+    fol.Pow: (_ATOM, ("Pow(", 0, ")")),
+    fol.Singleton: (_ATOM, ("sing(", 0, ")")),
+    fol.OrderedPair: (_ATOM, ("op(", 0, ",", 1, ")")),
+    fol.Cup: (_ATOM, ("cup(", 0, ",", 1, ")")),
+    fol.P1of: (_ATOM, ("p1(", 0, ")")),
+    fol.P2of: (_ATOM, ("p2(", 0, ")")),
+    fol.Len: (_ATOM, ("len(", 0, ")")),
+    # set formulas
+    fol.Bot: (_ATOM, ("false",)),
+    fol.Top: (_ATOM, ("true",)),
+    fol.Eq: (_ATOM, (0, " = ", 1)),
+    fol.Mem: (_ATOM, (0, " in ", 1)),
+    fol.Subset: (_ATOM, (0, " sub ", 1)),
+    fol.Neg: (_NOT, ("not ", (0, _NOT))),
+    fol.And: (_AND, ((0, _AND), " /\\ ", (1, _AND + 1))),
+    fol.Or: (_OR, ((0, _OR), " \\/ ", (1, _OR + 1))),
+    fol.Imp: (_IMP, ((0, _IMP + 1), " -> ", (1, _IMP))),
+    fol.Iff: (_IFF, ((0, _IFF), " <-> ", (1, _IFF + 1))),
+    fol.BForall: (0, ("all ", 0, " in ", 1, ". ", 2)),
+    fol.Forall: (0, ("all ", 0, ". ", 1)),
+    fol.BExists: (0, ("ex ", 0, " in ", 1, ". ", 2)),
+    fol.Exists: (0, ("ex ", 0, ". ", 1)),
+    fol.ExistsUnique: (0, ("ex! ", 0, ". ", 1)),
+    # pre-collections
+    pre.N0: (_ATOM, ("N0",)),
+    pre.N1: (_ATOM, ("N1",)),
+    pre.PowOne: (_ATOM, ("P1",)),
+    pre.UnivV: (_ATOM, ("V",)),
+    pre.ListC: (_ATOM, ("List(", 0, ")")),
+    pre.FunPowOne: (_ATOM, ("Fun(", 0, ", P1)")),
+    pre.Sum: (_SUM, ((0, _SUM), " + ", (1, _SUM + 1))),
+    pre.Sigma: (0, ("Sig ", 0, ":", (1, _ATOM), ". ", 2)),
+    pre.Pi: (0, ("Pi ", 0, ":", (1, _ATOM), ". ", 2)),
+    pre.Quot: (0, ((0, _SUM), " / (", 1, ",", 2, "). ", 3)),
+    pre.Compr: (_ATOM, ("{ ", 0, " | ", 1, " }")),
+    pre.PropAsCol: (_ATOM, ("[prop ", 0, "]")),
+    # pre-terms
+    pre.Star: (_ATOM, ("star",)),
+    pre.Eps: (_ATOM, ("eps",)),
+    pre.TrueT: (_ATOM, ("tt",)),
+    pre.EmptyV: (_ATOM, ("emptyV",)),
+    pre.OmegaV: (_ATOM, ("omegaV",)),
+    pre.Emp0: (_ATOM, ("emp0(", 0, ")")),
+    pre.ElN1: (_ATOM, ("elN1(", 0, ",", 1, ")")),
+    pre.Cons: (_ATOM, ("cons(", 0, ",", 1, ")")),
+    pre.ElList: (_ATOM, ("elList[", 0, "](", 1, ",", 2, ",(", 3, ",", 4, ",", 5, ")", 6, ")")),
+    pre.Inl: (_ATOM, ("inl(", 0, ")")),
+    pre.Inr: (_ATOM, ("inr(", 0, ")")),
+    pre.ElPlus: (_ATOM, ("elPlus(", 0, ",(", 1, ")", 2, ",(", 3, ")", 4, ")")),
+    pre.PairT: (_ATOM, ("<", 0, ",", 1, ">")),
+    pre.ElSigma: (_ATOM, ("elSig(", 0, ",(", 1, ",", 2, ")", 3, ")")),
+    pre.Lam: (0, ("lam ", 0, ":", (1, _ATOM), ". ", 2)),
+    pre.Ap: (_ATOM, ("ap(", 0, ",", 1, ")")),
+    pre.EqCls: (_ATOM, ("cls[", 1, ",(", 2, ",", 3, ")", 4, "](", 0, ")")),
+    pre.ElQuot: (_ATOM, ("elQ[", 0, ",(", 1, ",", 2, ")", 3, "](", 4, ",(", 5, ")", 6, ")")),
+    pre.PropIntoP1: (_ATOM, ("pr(", 0, ")")),
+    pre.Name: (_ATOM, ("name(", 0, ")")),
+    pre.SepV: (_ATOM, ("{", 0, " eps ", 1, " | ", 2, "}")),
+    pre.PairV: (_ATOM, ("{", 0, ",", 1, "}V")),
+    pre.UnionV: (_ATOM, ("UnV(", 0, ")")),
+    pre.PowV: (_ATOM, ("PowV(", 0, ")")),
+    # pre-propositions
+    pre.BotP: (_ATOM, ("bot",)),
+    pre.EpsCol: (_ATOM, (0, " eps ", (1, _SUM))),
+    pre.EpsTerm: (_ATOM, (0, " eps ", 1)),
+    pre.EqP: (_ATOM, (1, " =[", 0, "] ", 2)),
+    pre.AndP: (_AND, ((0, _AND), " /\\ ", (1, _AND + 1))),
+    pre.OrP: (_OR, ((0, _OR), " \\/ ", (1, _OR + 1))),
+    pre.ImpP: (_IMP, ((0, _IMP + 1), " -> ", (1, _IMP))),
+    pre.ForallP: (0, ("all ", 0, ":", (1, _ATOM), ". ", 2)),
+    pre.ExistsP: (0, ("ex ", 0, ":", (1, _ATOM), ". ", 2)),
+}
+
+# each notation with its slots as (field name, level)
+_ITEMS = {cls: (level, tuple(
+    item if isinstance(item, str)
+    else (fields(cls)[item[0]].name, item[1]) if isinstance(item, tuple)
+    else (fields(cls)[item].name, 0)
+    for item in items)) for cls, (level, items) in NOTATION.items()}
+
+
+def _print(node, level: int = 0) -> str:
+    if isinstance(node, VarNode):
+        return node.name
+    try:
+        own, items = _ITEMS[type(node)]
+    except KeyError:
+        raise TypeError(f"no notation for {node!r}") from None
+    out = []
+    for item in items:
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            value = getattr(node, item[0])
+            out.append(value if isinstance(value, str) else _print(value, item[1]))
+    text = "".join(out)
+    return f"({text})" if own < level else text
 
 
 def print_set_term(t: fol.SetTerm) -> str:
-    match t:
-        case fol.Var(x):
-            return x
-        case fol.Empty():
-            return "empty"
-        case fol.Omega():
-            return "omega"
-        case fol.Zero():
-            return "0"
-        case fol.One():
-            return "1"
-        case fol.Pair(a, b):
-            return f"{{{print_set_term(a)}, {print_set_term(b)}}}"
-        case fol.Union(a):
-            return f"Un({print_set_term(a)})"
-        case fol.Pow(a):
-            return f"Pow({print_set_term(a)})"
-        case fol.Sep(x, a, phi):
-            return f"{{{x} in {print_set_term(a)} | {_pf(phi, 0)}}}"
-        case fol.Singleton(a):
-            return f"sing({print_set_term(a)})"
-        case fol.OrderedPair(a, b):
-            return f"op({print_set_term(a)},{print_set_term(b)})"
-        case fol.Cup(a, b):
-            return f"cup({print_set_term(a)},{print_set_term(b)})"
-        case fol.P1of(a):
-            return f"p1({print_set_term(a)})"
-        case fol.P2of(a):
-            return f"p2({print_set_term(a)})"
-        case fol.Len(a):
-            return f"len({print_set_term(a)})"
-        case _:
-            raise TypeError(f"not a set term: {t!r}")
-
-
-def _pf(f: fol.SetFormula, prec: int) -> str:
-    def wrap(p: int, s: str) -> str:
-        return f"({s})" if p < prec else s
-
-    match f:
-        case fol.Bot():
-            return "false"
-        case fol.Top():
-            return "true"
-        case fol.Eq(a, b):
-            return f"{print_set_term(a)} = {print_set_term(b)}"
-        case fol.Mem(a, b):
-            return f"{print_set_term(a)} in {print_set_term(b)}"
-        case fol.Subset(a, b):
-            return f"{print_set_term(a)} sub {print_set_term(b)}"
-        case fol.Neg(a):
-            return wrap(_NOT, f"not {_pf(a, _NOT)}")
-        case fol.And(l, r):
-            return wrap(_AND, f"{_pf(l, _AND)} /\\ {_pf(r, _AND + 1)}")
-        case fol.Or(l, r):
-            return wrap(_OR, f"{_pf(l, _OR)} \\/ {_pf(r, _OR + 1)}")
-        case fol.Imp(l, r):
-            return wrap(_IMP, f"{_pf(l, _IMP + 1)} -> {_pf(r, _IMP)}")
-        case fol.Iff(l, r):
-            return wrap(_IFF, f"{_pf(l, _IFF)} <-> {_pf(r, _IFF + 1)}")
-        case fol.Forall(x, body):
-            return wrap(0, f"all {x}. {_pf(body, 0)}")
-        case fol.Exists(x, body):
-            return wrap(0, f"ex {x}. {_pf(body, 0)}")
-        case fol.ExistsUnique(x, body):
-            return wrap(0, f"ex! {x}. {_pf(body, 0)}")
-        case fol.BForall(x, t, body):
-            return wrap(0, f"all {x} in {print_set_term(t)}. {_pf(body, 0)}")
-        case fol.BExists(x, t, body):
-            return wrap(0, f"ex {x} in {print_set_term(t)}. {_pf(body, 0)}")
-        case _:
-            raise TypeError(f"not a set formula: {f!r}")
+    return _print(t)
 
 
 def print_set_formula(f: fol.SetFormula) -> str:
-    return _pf(f, 0)
+    return _print(f)
 
 
 def print_set(node: fol.SetNode) -> str:
-    if isinstance(node, fol.SetTerm):
-        return print_set_term(node)
-    return print_set_formula(node)
-
-
-# -- pre-syntax --------------------------------------------------------------------
-
-_CBIND, _CSUM, _CATOM = 0, 1, 2
+    return _print(node)
 
 
 def print_collection(A: pre.PreCollection, prec: int = 0) -> str:
-    def wrap(p: int, s: str) -> str:
-        return f"({s})" if p < prec else s
-
-    match A:
-        case pre.N0():
-            return "N0"
-        case pre.N1():
-            return "N1"
-        case pre.PowOne():
-            return "P1"
-        case pre.UnivV():
-            return "V"
-        case pre.ListC(a):
-            return f"List({print_collection(a)})"
-        case pre.FunPowOne(a):
-            return f"Fun({print_collection(a)}, P1)"
-        case pre.Sum(l, r):
-            return wrap(_CSUM, f"{print_collection(l, _CSUM)} + {print_collection(r, _CSUM + 1)}")
-        case pre.Sigma(x, dom, body):
-            return wrap(0, f"Sig {x}:{print_collection(dom, _CATOM)}. {print_collection(body)}")
-        case pre.Pi(x, dom, body):
-            return wrap(0, f"Pi {x}:{print_collection(dom, _CATOM)}. {print_collection(body)}")
-        case pre.Quot(base, x, y, rel):
-            return wrap(0, f"{print_collection(base, _CSUM)} / ({x},{y}). {print_prop(rel)}")
-        case pre.Compr(x, phi):
-            return f"{{ {x} | {print_prop(phi)} }}"
-        case pre.PropAsCol(phi):
-            return f"[prop {print_prop(phi)}]"
-        case _:
-            raise TypeError(f"not a pre-collection: {A!r}")
+    return _print(A, prec)
 
 
 def print_term(t: pre.PreTerm) -> str:
-    pt, pc, pp = print_term, print_collection, print_prop
-    match t:
-        case pre.Var(x):
-            return x
-        case pre.Star():
-            return "star"
-        case pre.Eps():
-            return "eps"
-        case pre.TrueT():
-            return "tt"
-        case pre.EmptyV():
-            return "emptyV"
-        case pre.OmegaV():
-            return "omegaV"
-        case pre.Emp0(a):
-            return f"emp0({pt(a)})"
-        case pre.ElN1(a, b):
-            return f"elN1({pt(a)},{pt(b)})"
-        case pre.Cons(a, b):
-            return f"cons({pt(a)},{pt(b)})"
-        case pre.ElList(A, a, b, x, y, z, c):
-            return f"elList[{pc(A)}]({pt(a)},{pt(b)},({x},{y},{z}){pt(c)})"
-        case pre.Inl(a):
-            return f"inl({pt(a)})"
-        case pre.Inr(a):
-            return f"inr({pt(a)})"
-        case pre.ElPlus(a, x, b, y, c):
-            return f"elPlus({pt(a)},({x}){pt(b)},({y}){pt(c)})"
-        case pre.PairT(a, b):
-            return f"<{pt(a)},{pt(b)}>"
-        case pre.ElSigma(a, x, y, b):
-            return f"elSig({pt(a)},({x},{y}){pt(b)})"
-        case pre.Lam(x, A, b):
-            return f"lam {x}:{pc(A, _CATOM)}. {pt(b)}"
-        case pre.Ap(a, b):
-            return f"ap({pt(a)},{pt(b)})"
-        case pre.EqCls(a, A, x, y, phi):
-            return f"cls[{pc(A)},({x},{y}){pp(phi)}]({pt(a)})"
-        case pre.ElQuot(A, x, y, phi, a, z, b):
-            return f"elQ[{pc(A)},({x},{y}){pp(phi)}]({pt(a)},({z}){pt(b)})"
-        case pre.PropIntoP1(phi):
-            return f"pr({pp(phi)})"
-        case pre.Name(A):
-            return f"name({pc(A)})"
-        case pre.PairV(a, b):
-            return f"{{{pt(a)},{pt(b)}}}V"
-        case pre.UnionV(a):
-            return f"UnV({pt(a)})"
-        case pre.PowV(a):
-            return f"PowV({pt(a)})"
-        case pre.SepV(x, a, phi):
-            return f"{{{x} eps {pt(a)} | {pp(phi)}}}"
-        case _:
-            raise TypeError(f"not a pre-term: {t!r}")
+    return _print(t)
 
 
 def print_prop(p: pre.PreProposition, prec: int = 0) -> str:
-    def wrap(pr: int, s: str) -> str:
-        return f"({s})" if pr < prec else s
-
-    match p:
-        case pre.BotP():
-            return "bot"
-        case pre.EpsTerm(a, b):
-            return f"{print_term(a)} eps {print_term(b)}"
-        case pre.EpsCol(a, A):
-            return f"{print_term(a)} eps {print_collection(A, _CSUM)}"
-        case pre.EqP(A, a, b):
-            return f"{print_term(a)} =[{print_collection(A)}] {print_term(b)}"
-        case pre.AndP(l, r):
-            return wrap(_AND, f"{print_prop(l, _AND)} /\\ {print_prop(r, _AND + 1)}")
-        case pre.OrP(l, r):
-            return wrap(_OR, f"{print_prop(l, _OR)} \\/ {print_prop(r, _OR + 1)}")
-        case pre.ImpP(l, r):
-            return wrap(_IMP, f"{print_prop(l, _IMP + 1)} -> {print_prop(r, _IMP)}")
-        case pre.ForallP(x, A, body):
-            return wrap(0, f"all {x}:{print_collection(A, _CATOM)}. {print_prop(body)}")
-        case pre.ExistsP(x, A, body):
-            return wrap(0, f"ex {x}:{print_collection(A, _CATOM)}. {print_prop(body)}")
-        case _:
-            raise TypeError(f"not a pre-proposition: {p!r}")
+    return _print(p, prec)
 
 
 def print_context(ctx: pre.PreContext) -> str:
     if not len(ctx):
         return "[]"
-    entries = ", ".join(f"{x}:{print_collection(A, _CSUM)}" for x, A in ctx)
+    entries = ", ".join(f"{x}:{_print(A, _SUM)}" for x, A in ctx)
     return f"[{entries}]"
 
 
 def print_emtt(node) -> str:
     if isinstance(node, pre.PreContext):
         return print_context(node)
-    if isinstance(node, pre.PreCollection):
-        return print_collection(node)
-    if isinstance(node, pre.PreTerm):
-        return print_term(node)
-    return print_prop(node)
+    return _print(node)

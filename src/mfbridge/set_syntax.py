@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (FreshNames, Node, VarNode, alpha_eq, free_vars,
-                   normalize_binders, subst, subst1, walk)
+from .core import FreshNames, Node, VarNode, free_vars, normalize_binders, subst1, walk
 
 
 class TheoryFlavor(Enum):
@@ -325,22 +324,9 @@ def _elab(node: SetNode, fresh: FreshNames) -> SetNode:
 
 # -- spec'd operation names ----------------------------------------------------
 
-def free_vars_set(node: SetNode) -> frozenset[str]:
-    return free_vars(node)
-
-
 def subst_set(node: SetNode, name: str, term: SetTerm,
               fresh: FreshNames | None = None) -> SetNode:
     return subst1(node, name, term, fresh)
-
-
-def subst_set_many(node: SetNode, mapping: dict[str, SetTerm],
-                   fresh: FreshNames | None = None) -> SetNode:
-    return subst(node, mapping, fresh)
-
-
-def alpha_eq_set(a: SetNode, b: SetNode) -> bool:
-    return alpha_eq(a, b)
 
 
 def normalize(node: SetNode, fresh: FreshNames | None = None) -> SetNode:

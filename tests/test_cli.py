@@ -58,13 +58,16 @@ def test_eval_rejects_out_of_contract_input(tmp_path, capsys):
 
 
 def test_eval_over_the_cell_cap(tmp_path, capsys):
-    # 65,536 ** 2 environments at rank 4: refused before evaluation starts
+    # 65,536 ** 2 environments at rank 4, and 16 ** 6 at rank 3: refused
+    # before evaluation starts
     f = _write(tmp_path, "a.fm", "all x. all y. x = y")
-    t0 = time.monotonic()
-    code, out, err = run(capsys, "eval", "--rank", "4", f)
-    assert time.monotonic() - t0 < 1
-    assert code == 2 and out == "" and len(err.splitlines()) == 1, (out, err)
-    assert err.startswith("error:") and "cell cap" in err
+    six = _write(tmp_path, "six.fm", "all a. all b. all c. all d. all e. all f. a = b")
+    for argv in (("--rank", "4", f), ("--rank", "3", six)):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "eval", *argv)
+        assert time.monotonic() - t0 < 1
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, (out, err)
+        assert err.startswith("error:") and "cell cap" in err
     code, out, _ = run(capsys, "eval", "--rank", "3", f)
     assert code == 0 and out.strip() == "false"
 

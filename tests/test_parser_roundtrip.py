@@ -1,4 +1,7 @@
 """Concrete-syntax round trips and s-expression serialization."""
+import re
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +10,9 @@ from mfbridge.core import alpha_eq
 from mfbridge.parser import (ParseError, parse_collection, parse_context,
                              parse_emtt, parse_prop, parse_set_formula,
                              parse_set_term, parse_term)
-from mfbridge.printer import (print_collection, print_context, print_prop,
-                              print_set, print_set_formula, print_set_term,
-                              print_term)
+from mfbridge.printer import (NOTATION, print_collection, print_context,
+                              print_prop, print_set, print_set_formula,
+                              print_set_term, print_term)
 from mfbridge.properties import (GenConfig, gen_precollection, gen_preprop,
                                  gen_preterm, gen_set_formula, gen_set_term)
 from mfbridge import emtt_syntax as pre
@@ -56,9 +59,12 @@ def test_separation_vs_pair_disambiguation():
 
 
 def test_set_parse_errors():
-    for bad in ["all x y", "{x in x | false}", "x in", "2", "x ="]:
-        with pytest.raises(ParseError):
+    for bad, says in (("all x y", "at offset 6"),
+                      ("{x in x | false}", "separation binder 'x' occurs in its bound"),
+                      ("x in", "at offset 4"), ("2", "at offset 0"), ("x =", "at offset 3")):
+        with pytest.raises(ParseError) as e:
             parse_set_formula(bad)
+        assert says in str(e.value), (bad, str(e.value))
 
 
 def test_emtt_goldens():
@@ -101,8 +107,34 @@ def test_context_round_trip():
 
 def test_emtt_parse_errors():
     for bad in ["lam x V. x", "{x eps x | bot}", "a eps", "Sig x:. V", "cons(a)"]:
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_emtt(bad)
+        assert str(e.value) == ("cannot parse as pre-proposition, pre-term or "
+                                f"pre-collection: {bad!r}")
+
+
+def test_notation_covers_every_node_class():
+    for module, root in ((fol, fol.SetNode), (pre, pre.EmttNode)):
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and issubclass(cls, root) and is_dataclass(cls)):
+                continue
+            if cls is module.Var:
+                assert cls not in NOTATION
+                continue
+            assert cls in NOTATION, cls
+            slots = [item if isinstance(item, int) else item[0]
+                     for item in NOTATION[cls][1] if not isinstance(item, str)]
+            assert sorted(slots) == list(range(len(fields(cls)))), cls
+    # every word of a language's notation is refused as a variable name
+    for cls, (_, items) in NOTATION.items():
+        binder = "all {}. false" if issubclass(cls, fol.SetNode) else "lam {}:V. tt"
+        parse = parse_set_formula if issubclass(cls, fol.SetNode) else parse_term
+        for item in items:
+            for word in re.findall(r"[A-Za-z_]\w*", item) if isinstance(item, str) else ():
+                with pytest.raises(ParseError, match="expected a variable name"):
+                    parse(binder.format(word))
+    assert parse_set_formula("all lam. false") == fol.Forall("lam", fol.Bot())
+    assert parse_term("lam in:V. tt") == pre.Lam("in", pre.UnivV(), pre.TrueT())
 
 
 # seeded round trips over every constructor

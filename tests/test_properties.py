@@ -109,7 +109,7 @@ def test_report_renders_and_is_stable():
     r1 = check_axioms(GenConfig(seed=1))
     r2 = check_axioms(GenConfig(seed=1))
     strip = lambda s: "\n".join(l for l in s.render().splitlines())
-    # elapsed differs; compare the structural fields instead
+    # compare the structural fields
     assert (r1.samples, r1.skipped_envs, [f.detail for f in r1.failures]) == \
            (r2.samples, r2.skipped_envs, [f.detail for f in r2.failures])
     assert "axioms" in r1.render()
