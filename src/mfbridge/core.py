@@ -10,12 +10,15 @@ a tuple with one entry per dataclass field:
                whose scope includes this child (empty tuple = no binders)
 
 All generic operations (free_vars, subst, alpha_eq, normalize_binders) are
-driven by these specs, so each language only declares its node shapes.
+driven by these specs, and `field_sorts` reads each field's annotated sort
+for the parser, the rule reader and the generator, so each language only
+declares its node shapes.
 """
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import functools
+import sys
 
 
 class Node:
@@ -24,6 +27,14 @@ class Node:
 
     def _values(self):
         return [getattr(self, f.name) for f in dataclasses.fields(self)]
+
+
+@functools.cache
+def field_sorts(cls: type) -> tuple:
+    """The sort of each dataclass field of `cls`: its (string) annotation,
+    resolved in the class's own module, and `str` for a name."""
+    names = vars(sys.modules[cls.__module__])
+    return tuple(str if f.type == "str" else names[f.type] for f in dataclasses.fields(cls))
 
 
 class VarNode(Node):

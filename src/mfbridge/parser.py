@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import fields
 from typing import NamedTuple
 
 from . import emtt_syntax as pre
 from . import set_syntax as fol
+from .core import field_sorts
 from .printer import NOTATION
 
 
@@ -99,10 +99,9 @@ _KEYWORDS = {fol.SetNode: set(), pre.EmttNode: set()}
 
 
 def _grammar() -> None:
-    sort_named = {sort.__name__: sort for sort in _SORTS} | {"str": str}
     for cls, (level, items) in NOTATION.items():
         sort = next(s for s in _SORTS if issubclass(cls, s))
-        types = [f.type for f in fields(cls)]
+        sorts = field_sorts(cls)
         seq = []
         for item in items:
             if isinstance(item, str):
@@ -111,7 +110,7 @@ def _grammar() -> None:
                 seq += [t.text for t in toks]
             else:
                 index, at = item if isinstance(item, tuple) else (item, 0)
-                seq.append((index, sort_named[types[index]], at))
+                seq.append((index, sorts[index], at))
                 if at:
                     _PARENS.add(seq[-1][1])
         atom = not isinstance(seq[0], str) and seq[0][1] is not sort
@@ -312,8 +311,8 @@ def parse_context(text: str) -> pre.PreContext:
 
 
 def parse_emtt(text: str) -> pre.EmttNode | pre.PreContext:
-    stripped = text.strip()
-    if stripped.startswith("[") and not stripped.startswith("[prop"):
+    # a `[` opens a context, unless the keyword `prop` follows it
+    if text.lstrip().startswith("[") and tokenize(text)[1].text != "prop":
         return parse_context(text)
     for fn in (parse_prop, parse_term, parse_collection):
         try:

@@ -4,22 +4,33 @@ Every check is reproducible from (seed, config).  Checks sweep rank-bounded
 HF environments; a sample whose sweep skips too many environments to
 overflow is regenerated at a smaller depth so passes cannot go vacuous.
 
-The generators produce well-formed, binder-distinct ASTs.  Scrutinees of the
-two eliminators whose value clauses discard their argument are drawn closed
-(see gen notes in the module tests): with open scrutinees there the
+One generator, `_g`, draws all five sorts from the node declarations.  It
+draws a class from the sort's pool: `_LEAVES` at depth <= 0, above it the
+leaf pool followed by `_INNER` (for pre-propositions `_INNER` alone).  Omega
+joins the leaves under `omega_allowed`; the list eliminator joins the
+pre-term pool at the top call or under `deep_el_list`.  A drawn class gets a
+fresh binder for each "B" field, in field order; then each child field is
+drawn at its annotated sort one level down (the list eliminator's at depth
+0), in scope of the binders its `binding` spec lists.  `_OVERRIDES` names
+the child fields drawn otherwise: annotations come from a small pool, the
+quotient eliminator's relation is fixed and its annotation closed, and the
+scrutinees of the two eliminators whose value clauses discard their
+argument are drawn closed: with open scrutinees there the
 same-free-variables contract of the proposition translation provably fails,
 which is a property of the translation clauses, not of this implementation.
+The ASTs are well-formed and binder-distinct.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 
 from . import emtt_syntax as pre
 from . import set_syntax as fol
-from .core import FreshNames, free_vars
+from .core import FreshNames, VarNode, field_sorts, free_vars, node_size, walk
 from .hat import PLACEHOLDER, HatTranslator
-from .hf import SweepReport, Universe, check_equivalence, check_valid, enumerate_universe, standard_axioms
+from .hf import SweepReport, check_equivalence, check_valid, enumerate_universe, standard_axioms
 from .printer import print_emtt, print_set
 from .tilde import tilde_formula, tilde_term
 
@@ -89,99 +100,85 @@ class _Gen:
         self._binders += 1
         return f"b{self._binders}"
 
-    def var(self) -> str:
-        return self.rng.choice(VARIABLES)
 
-
-# -- set-language generators -------------------------------------------------------
+# -- the generator -------------------------------------------------------------------
 
 def gen_set_term(cfg: GenConfig, index: int = 0, attempt: int = 0) -> fol.SetTerm:
-    g = _Gen(cfg, _rng(cfg, index, attempt))
-    return _g_term(g, cfg.max_depth, ())
+    return _g(_Gen(cfg, _rng(cfg, index, attempt)), fol.SetTerm, cfg.max_depth, ())
 
 
 def gen_set_formula(cfg: GenConfig, index: int = 0, attempt: int = 0) -> fol.SetFormula:
-    g = _Gen(cfg, _rng(cfg, index, attempt))
-    return _g_formula(g, cfg.max_depth, ())
+    return _g(_Gen(cfg, _rng(cfg, index, attempt)), fol.SetFormula, cfg.max_depth, ())
 
-
-def _g_term(g: _Gen, depth: int, scope: tuple[str, ...]) -> fol.SetTerm:
-    leaves = ["var", "empty"]
-    if g.cfg.omega_allowed:
-        leaves.append("omega")
-    if depth <= 0:
-        kind = g.rng.choice(leaves)
-    else:
-        kind = g.rng.choice(leaves + ["pair", "pair", "union", "sep", "pow"])
-    match kind:
-        case "var":
-            return fol.Var(g.rng.choice(scope + VARIABLES))
-        case "empty":
-            return fol.Empty()
-        case "omega":
-            return fol.Omega()
-        case "pair":
-            return fol.Pair(_g_term(g, depth - 1, scope), _g_term(g, depth - 1, scope))
-        case "union":
-            return fol.Union(_g_term(g, depth - 1, scope))
-        case "pow":
-            return fol.Pow(_g_term(g, depth - 1, scope))
-        case "sep":
-            x = g.binder()
-            bound = _g_term(g, depth - 1, scope)
-            body = _g_formula(g, depth - 1, scope + (x,))
-            return fol.Sep(x, bound, body)
-
-
-def _g_formula(g: _Gen, depth: int, scope: tuple[str, ...]) -> fol.SetFormula:
-    if depth <= 0:
-        kind = g.rng.choice(["bot", "eq", "mem", "mem"])
-    else:
-        kind = g.rng.choice(["bot", "eq", "mem", "mem", "and", "or", "imp",
-                             "forall", "exists"])
-    match kind:
-        case "bot":
-            return fol.Bot()
-        case "eq":
-            return fol.Eq(_g_term(g, depth - 1, scope), _g_term(g, depth - 1, scope))
-        case "mem":
-            return fol.Mem(_g_term(g, depth - 1, scope), _g_term(g, depth - 1, scope))
-        case "and":
-            return fol.And(_g_formula(g, depth - 1, scope), _g_formula(g, depth - 1, scope))
-        case "or":
-            return fol.Or(_g_formula(g, depth - 1, scope), _g_formula(g, depth - 1, scope))
-        case "imp":
-            return fol.Imp(_g_formula(g, depth - 1, scope), _g_formula(g, depth - 1, scope))
-        case "forall":
-            x = g.binder()
-            return fol.Forall(x, _g_formula(g, depth - 1, scope + (x,)))
-        case "exists":
-            x = g.binder()
-            return fol.Exists(x, _g_formula(g, depth - 1, scope + (x,)))
-
-
-# -- pre-syntax generators -----------------------------------------------------------
 
 def gen_preterm(cfg: GenConfig, index: int = 0, attempt: int = 0) -> pre.PreTerm:
-    g = _Gen(cfg, _rng(cfg, index, attempt))
-    return _g_preterm(g, cfg.max_depth, (), top=True)
+    return _g(_Gen(cfg, _rng(cfg, index, attempt)), pre.PreTerm, cfg.max_depth, (), top=True)
 
 
 def gen_preprop(cfg: GenConfig, index: int = 0, attempt: int = 0) -> pre.PreProposition:
-    g = _Gen(cfg, _rng(cfg, index, attempt))
-    return _g_preprop(g, cfg.max_depth, ())
+    return _g(_Gen(cfg, _rng(cfg, index, attempt)), pre.PreProposition, cfg.max_depth, ())
 
 
 def gen_precollection(cfg: GenConfig, index: int = 0, attempt: int = 0) -> pre.PreCollection:
-    g = _Gen(cfg, _rng(cfg, index, attempt))
-    return _g_precol(g, cfg.max_depth, ())
+    return _g(_Gen(cfg, _rng(cfg, index, attempt)), pre.PreCollection, cfg.max_depth, ())
 
 
-def _g_closed_preterm(g: _Gen) -> pre.PreTerm:
+# Each sort's pools; a repeated class is a weight.  `rng.choice` draws by
+# position, so the order of a pool is part of the seeded stream.
+_LEAVES = {
+    fol.SetFormula: (fol.Bot, fol.Eq, fol.Mem, fol.Mem),
+    fol.SetTerm: (fol.Var, fol.Empty),
+    pre.PreProposition: (pre.BotP, pre.EpsTerm, pre.EpsTerm, pre.EqP),
+    pre.PreTerm: (pre.Var, pre.Star, pre.Eps, pre.TrueT, pre.EmptyV),
+    pre.PreCollection: (pre.N0, pre.N1, pre.UnivV, pre.PowOne),
+}
+_OMEGA = {fol.SetTerm: fol.Omega, pre.PreTerm: pre.OmegaV}
+_INNER = {
+    fol.SetFormula: (fol.And, fol.Or, fol.Imp, fol.Forall, fol.Exists),
+    fol.SetTerm: (fol.Pair, fol.Pair, fol.Union, fol.Sep, fol.Pow),
+    # drawn in place of the leaf pool, not after it
+    pre.PreProposition: (pre.BotP, pre.EpsTerm, pre.EpsCol, pre.EqP, pre.AndP, pre.OrP,
+                         pre.ImpP, pre.ForallP, pre.ExistsP),
+    pre.PreTerm: (pre.Emp0, pre.ElN1, pre.Cons, pre.Inl, pre.Inr, pre.ElPlus, pre.PairT,
+                  pre.ElSigma, pre.Lam, pre.Ap, pre.EqCls, pre.ElQuot, pre.PropIntoP1,
+                  pre.Name, pre.PairV, pre.PairV, pre.UnionV, pre.PowV, pre.SepV),
+    pre.PreCollection: (pre.ListC, pre.Sum, pre.Sigma, pre.Pi, pre.Quot, pre.FunPowOne,
+                        pre.Compr, pre.PropAsCol),
+}
+
+
+@functools.cache
+def _pool(sort: type, inner: bool, omega: bool, el_list: bool) -> tuple:
+    pool = _LEAVES[sort] + ((_OMEGA[sort],) if omega and sort in _OMEGA else ())
+    if inner:
+        pool = _INNER[sort] if sort is pre.PreProposition else pool + _INNER[sort]
+        if el_list and sort is pre.PreTerm:
+            pool += (pre.ElList,)
+    return pool
+
+
+def _g(g: _Gen, sort: type, depth: int, scope: tuple[str, ...], top: bool = False):
+    """A random node of `sort`, drawn as the module docstring describes; no
+    randomness is spent on binders, so they are all named before any child."""
+    cfg = g.cfg
+    cls = g.rng.choice(_pool(sort, depth > 0, cfg.omega_allowed, top or cfg.deep_el_list))
+    if issubclass(cls, VarNode):
+        return cls(g.rng.choice(scope + VARIABLES))
+    vals = [g.binder() if spec == "B" else None for spec in cls.binding]
+    below = 0 if cls is pre.ElList else depth - 1
+    for j, (spec, child_sort) in enumerate(zip(cls.binding, field_sorts(cls))):
+        if isinstance(spec, tuple):
+            inner = scope + tuple(vals[i] for i in spec)
+            make = _OVERRIDES.get((cls, j), _g)
+            vals[j] = make(g, child_sort, below, inner)
+    return cls(*vals)
+
+
+def _g_closed_preterm(g: _Gen, *_) -> pre.PreTerm:
     return g.rng.choice([pre.Star(), pre.Eps(), pre.TrueT(), pre.EmptyV()])
 
 
-def _g_closed_annot(g: _Gen) -> pre.PreCollection:
+def _g_closed_annot(g: _Gen, *_) -> pre.PreCollection:
     # the quotient eliminator's value clause never reads its annotation, so
     # open annotations would leak variables out of the free-variable contract
     b = g.binder()
@@ -190,127 +187,7 @@ def _g_closed_annot(g: _Gen) -> pre.PreCollection:
                          pre.Compr(b, pre.EpsTerm(pre.Var(b), pre.EmptyV()))])
 
 
-def _g_precol(g: _Gen, depth: int, scope: tuple[str, ...]) -> pre.PreCollection:
-    if depth <= 0:
-        return g.rng.choice([pre.N0(), pre.N1(), pre.UnivV(), pre.PowOne()])
-    kind = g.rng.choice(["n0", "n1", "v", "p1", "list", "sum", "sigma", "pi",
-                         "quot", "funp1", "compr", "propcol"])
-    match kind:
-        case "n0":
-            return pre.N0()
-        case "n1":
-            return pre.N1()
-        case "v":
-            return pre.UnivV()
-        case "p1":
-            return pre.PowOne()
-        case "list":
-            return pre.ListC(_g_precol(g, depth - 1, scope))
-        case "sum":
-            return pre.Sum(_g_precol(g, depth - 1, scope), _g_precol(g, depth - 1, scope))
-        case "sigma":
-            x = g.binder()
-            return pre.Sigma(x, _g_precol(g, depth - 1, scope),
-                             _g_precol(g, depth - 1, scope + (x,)))
-        case "pi":
-            x = g.binder()
-            return pre.Pi(x, _g_precol(g, depth - 1, scope),
-                          _g_precol(g, depth - 1, scope + (x,)))
-        case "quot":
-            x, y = g.binder(), g.binder()
-            return pre.Quot(_g_precol(g, depth - 1, scope), x, y,
-                            _g_preprop(g, depth - 1, scope + (x, y)))
-        case "funp1":
-            return pre.FunPowOne(_g_precol(g, depth - 1, scope))
-        case "compr":
-            x = g.binder()
-            return pre.Compr(x, _g_preprop(g, depth - 1, scope + (x,)))
-        case "propcol":
-            return pre.PropAsCol(_g_preprop(g, depth - 1, scope))
-
-
-def _g_preterm(g: _Gen, depth: int, scope: tuple[str, ...], top: bool = False) -> pre.PreTerm:
-    leaves = ["var", "star", "eps", "true", "emptyv"]
-    if g.cfg.omega_allowed:
-        leaves.append("omegav")
-    if depth <= 0:
-        kind = g.rng.choice(leaves)
-    else:
-        pool = leaves + ["emp0", "eln1", "cons", "inl", "inr", "elplus", "pairt",
-                         "elsig", "lam", "ap", "eqcls", "elquot", "propp1", "name",
-                         "pairv", "pairv", "unionv", "powv", "sepv"]
-        if top or g.cfg.deep_el_list:
-            pool.append("ellist")
-        kind = g.rng.choice(pool)
-    t = _g_preterm
-    match kind:
-        case "var":
-            return pre.Var(g.rng.choice(scope + VARIABLES))
-        case "star":
-            return pre.Star()
-        case "eps":
-            return pre.Eps()
-        case "true":
-            return pre.TrueT()
-        case "emptyv":
-            return pre.EmptyV()
-        case "omegav":
-            return pre.OmegaV()
-        case "emp0":
-            # closed scrutinee: the value clause discards it
-            return pre.Emp0(_g_closed_preterm(g))
-        case "eln1":
-            return pre.ElN1(_g_closed_preterm(g), t(g, depth - 1, scope))
-        case "cons":
-            return pre.Cons(t(g, depth - 1, scope), t(g, depth - 1, scope))
-        case "inl":
-            return pre.Inl(t(g, depth - 1, scope))
-        case "inr":
-            return pre.Inr(t(g, depth - 1, scope))
-        case "elplus":
-            x, y = g.binder(), g.binder()
-            return pre.ElPlus(t(g, depth - 1, scope), x, t(g, depth - 1, scope + (x,)),
-                              y, t(g, depth - 1, scope + (y,)))
-        case "pairt":
-            return pre.PairT(t(g, depth - 1, scope), t(g, depth - 1, scope))
-        case "elsig":
-            x, y = g.binder(), g.binder()
-            return pre.ElSigma(t(g, depth - 1, scope), x, y, t(g, depth - 1, scope + (x, y)))
-        case "lam":
-            x = g.binder()
-            return pre.Lam(x, _g_annot(g, depth - 1, scope), t(g, depth - 1, scope + (x,)))
-        case "ap":
-            return pre.Ap(t(g, depth - 1, scope), t(g, depth - 1, scope))
-        case "eqcls":
-            x, y = g.binder(), g.binder()
-            return pre.EqCls(t(g, depth - 1, scope), _g_annot(g, depth - 1, scope),
-                             x, y, _g_preprop(g, depth - 1, scope + (x, y)))
-        case "elquot":
-            x, y, z = g.binder(), g.binder(), g.binder()
-            return pre.ElQuot(_g_closed_annot(g), x, y,
-                              pre.EqP(pre.UnivV(), pre.Var(x), pre.Var(y)),
-                              t(g, depth - 1, scope), z, t(g, depth - 1, scope + (z,)))
-        case "propp1":
-            return pre.PropIntoP1(_g_preprop(g, depth - 1, scope))
-        case "name":
-            return pre.Name(_g_annot(g, depth - 1, scope))
-        case "pairv":
-            return pre.PairV(t(g, depth - 1, scope), t(g, depth - 1, scope))
-        case "unionv":
-            return pre.UnionV(t(g, depth - 1, scope))
-        case "powv":
-            return pre.PowV(t(g, depth - 1, scope))
-        case "sepv":
-            x = g.binder()
-            bound = t(g, depth - 1, scope)
-            return pre.SepV(x, bound, _g_preprop(g, depth - 1, scope + (x,)))
-        case "ellist":
-            x, y, z = g.binder(), g.binder(), g.binder()
-            return pre.ElList(_g_annot(g, 0, scope), t(g, 0, scope), t(g, 0, scope),
-                              x, y, z, t(g, 0, scope + (x, y, z)))
-
-
-def _g_annot(g: _Gen, depth: int, scope: tuple[str, ...]) -> pre.PreCollection:
+def _g_annot(g: _Gen, sort: type, depth: int, scope: tuple[str, ...]) -> pre.PreCollection:
     """Annotation pool: small collections, including comprehensions."""
     kind = g.rng.choice(["n0", "n1", "v", "v", "compr"])
     if kind == "n0":
@@ -319,40 +196,23 @@ def _g_annot(g: _Gen, depth: int, scope: tuple[str, ...]) -> pre.PreCollection:
         return pre.N1()
     if kind == "compr" and depth > 0:
         x = g.binder()
-        return pre.Compr(x, _g_preprop(g, 0, scope + (x,)))
+        return pre.Compr(x, _g(g, pre.PreProposition, 0, scope + (x,)))
     return pre.UnivV()
 
 
-def _g_preprop(g: _Gen, depth: int, scope: tuple[str, ...]) -> pre.PreProposition:
-    if depth <= 0:
-        kind = g.rng.choice(["bot", "epst", "epst", "eqp"])
-    else:
-        kind = g.rng.choice(["bot", "epst", "epsc", "eqp", "and", "or", "imp",
-                             "forall", "exists"])
-    match kind:
-        case "bot":
-            return pre.BotP()
-        case "epst":
-            return pre.EpsTerm(_g_preterm(g, depth - 1, scope), _g_preterm(g, depth - 1, scope))
-        case "epsc":
-            return pre.EpsCol(_g_preterm(g, depth - 1, scope), _g_annot(g, depth - 1, scope))
-        case "eqp":
-            return pre.EqP(_g_annot(g, depth - 1, scope),
-                           _g_preterm(g, depth - 1, scope), _g_preterm(g, depth - 1, scope))
-        case "and":
-            return pre.AndP(_g_preprop(g, depth - 1, scope), _g_preprop(g, depth - 1, scope))
-        case "or":
-            return pre.OrP(_g_preprop(g, depth - 1, scope), _g_preprop(g, depth - 1, scope))
-        case "imp":
-            return pre.ImpP(_g_preprop(g, depth - 1, scope), _g_preprop(g, depth - 1, scope))
-        case "forall":
-            x = g.binder()
-            return pre.ForallP(x, _g_annot(g, depth - 1, scope),
-                               _g_preprop(g, depth - 1, scope + (x,)))
-        case "exists":
-            x = g.binder()
-            return pre.ExistsP(x, _g_annot(g, depth - 1, scope),
-                               _g_preprop(g, depth - 1, scope + (x,)))
+# (class, field index) -> the generator of a child field that does not draw
+# from its sort's pool
+_OVERRIDES = {
+    # closed scrutinee: the value clause discards it
+    (pre.Emp0, 0): _g_closed_preterm,
+    (pre.ElN1, 0): _g_closed_preterm,
+    (pre.ElQuot, 0): _g_closed_annot,
+    # the relation over the two binders last added to its scope
+    (pre.ElQuot, 3): lambda g, sort, depth, scope: pre.EqP(pre.UnivV(), *map(pre.Var, scope[-2:])),
+    **{(cls, j): _g_annot for cls, j in (
+        (pre.Lam, 1), (pre.EqCls, 1), (pre.Name, 0), (pre.ElList, 0),
+        (pre.EpsCol, 1), (pre.EqP, 0), (pre.ForallP, 1), (pre.ExistsP, 1))},
+}
 
 
 # -- check drivers -------------------------------------------------------------------
@@ -361,29 +221,20 @@ def _too_vacuous(rep: SweepReport) -> bool:
     return rep.total > 0 and rep.skipped / rep.total >= MAX_SKIP_FRACTION
 
 
-_SORTS = (fol.SetFormula, fol.SetTerm, pre.PreProposition, pre.PreTerm, pre.PreCollection)
 _ATOMS = {fol.SetFormula: fol.Bot(), fol.SetTerm: fol.Empty(),
           pre.PreProposition: pre.BotP(), pre.PreTerm: pre.Star(),
           pre.PreCollection: pre.N1()}
 
 
-def _sort_of(node):
-    for base in _SORTS:
-        if isinstance(node, base):
-            return base
-    return None
-
-
 def _shrink_steps(subject):
     """Same-sort replacement candidates for one subject (an AST, or a tuple of
     ASTs and names shrunk pointwise).  Every candidate is well-formed."""
-    from .core import node_size, walk
     if isinstance(subject, tuple):
         for i, part in enumerate(subject):
             for cand in _shrink_steps(part):
                 yield subject[:i] + (cand,) + subject[i + 1:]
         return
-    sort = _sort_of(subject)
+    sort = next((sort for sort in _LEAVES if isinstance(subject, sort)), None)
     if sort is None:
         return
     atom = _ATOMS[sort]
@@ -499,11 +350,11 @@ def check_substitution(cfg: GenConfig) -> CheckReport:
     def gen(cfg2: GenConfig, i: int, attempt: int, depth: int):
         little = replace(cfg2, max_depth=depth)
         g = _Gen(little, _rng(little, i, attempt))
-        t = _g_preterm(g, max(depth - 1, 0), ())
-        a = _g_preterm(g, depth, ())
-        A = _g_precol(g, depth, ())
-        phi = _g_preprop(g, depth, ())
-        x = g.var()
+        t = _g(g, pre.PreTerm, max(depth - 1, 0), ())
+        a = _g(g, pre.PreTerm, depth, ())
+        A = _g(g, pre.PreCollection, depth, ())
+        phi = _g(g, pre.PreProposition, depth, ())
+        x = g.rng.choice(VARIABLES)
         return t, a, A, phi, x
 
     def check(sample, U):

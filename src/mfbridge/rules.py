@@ -20,12 +20,12 @@ form with the wrong number of arguments is rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 from . import emtt_syntax as pre
-from .core import alpha_eq_under, free_vars
+from .core import alpha_eq_under, field_sorts, free_vars
 from .emtt_syntax import subst_emtt_many
 from .sexp import read_all
 from .set_syntax import TheoryFlavor
@@ -130,11 +130,6 @@ _HEADS = {
 _HEAD_OF = {cls: head for head, cls in _HEADS.items()}
 _SORT_NAMES = {pre.PreCollection: "collection", pre.PreTerm: "term",
                pre.PreProposition: "proposition"}
-# each field's sort, named by its (string) annotation: a pre-syntax sort, or
-# str for a binder
-_SORTS_BY_NAME = {sort.__name__: sort for sort in _SORT_NAMES} | {"str": str}
-_FIELD_SORTS = {cls: tuple(_SORTS_BY_NAME[f.type] for f in fields(cls))
-                for cls in _HEADS.values()}
 _METAS = {pre.PreCollection: MCol, pre.PreTerm: MTerm, pre.PreProposition: MProp}
 _SUBSTS = {pre.PreCollection: SubstCol, pre.PreProposition: SubstProp}
 
@@ -170,7 +165,7 @@ def _read(tree, sort):
         if tree.startswith("?"):
             return _METAS[sort](tree[1:])
         cls = _HEADS.get(tree)
-        if cls is not None and issubclass(cls, sort) and not _FIELD_SORTS[cls]:
+        if cls is not None and issubclass(cls, sort) and not field_sorts(cls):
             return cls()
         if sort is pre.PreTerm:
             return pre.Var(tree)
@@ -181,9 +176,9 @@ def _read(tree, sort):
         pairs = tuple((_read(t, pre.PreTerm), _read(x, str)) for t, x in _pairs(args[1], head))
         return _SUBSTS[sort](_read(args[0], sort), pairs)
     cls = _HEADS.get(head)
-    if cls is None or not issubclass(cls, sort) or not _FIELD_SORTS[cls]:
+    if cls is None or not issubclass(cls, sort) or not field_sorts(cls):
         raise RulesError(f"unknown {what} form {head!r}")
-    sorts = _FIELD_SORTS[cls]
+    sorts = field_sorts(cls)
     _arity(head, args, len(sorts))
     return cls(*[_read(a, s) for a, s in zip(args, sorts)])
 

@@ -98,6 +98,15 @@ def test_check_rejects_sweeps_above_rank_3(capsys):
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "rank" in err
 
 
+def test_check_rejects_out_of_contract_counts(capsys):
+    for prop, flag, value in (("subst", "--samples", "0"), ("freevars", "--samples", "-1"),
+                              ("oneside", "--samples", "-3"), ("axioms", "--depth", "-4"),
+                              ("subst", "--depth", "-1")):
+        code, out, err = run(capsys, "check", "--property", prop, flag, value)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, (prop, flag, value)
+        assert err.startswith(f"error: {flag} must be at least "), err
+
+
 def test_check_deterministic_output(capsys):
     args = ("check", "--property", "freevars", "--seed", "3", "--samples", "40")
     _, out1, _ = run(capsys, *args)
@@ -120,9 +129,11 @@ def test_parse_sexp_format(tmp_path, capsys):
 
 
 def test_parse_emtt_by_extension(tmp_path, capsys):
-    f = _write(tmp_path, "a.mt", "lam x:V. x")
-    code, out, _ = run(capsys, "parse", f)
-    assert code == 0 and out.strip() == "lam x:V. x"
+    # a collection opening with `[ prop`, and a context whose first name starts with `prop`
+    for text, printed in (("lam x:V. x", "lam x:V. x"), ("[ prop bot ]", "[prop bot]"),
+                          ("[propx:V]", "[propx:V]")):
+        code, out, _ = run(capsys, "parse", _write(tmp_path, "a.mt", text))
+        assert code == 0 and out.strip() == printed, text
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

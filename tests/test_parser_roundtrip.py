@@ -105,6 +105,12 @@ def test_context_round_trip():
         assert parse_context(print_context(ctx)) == ctx
 
 
+def test_emtt_bracket_is_read_by_its_next_token():
+    # `[` then the keyword `prop` opens a collection; any other `[` a context
+    assert parse_emtt("[ prop bot ]") == pre.PropAsCol(pre.BotP())
+    assert parse_emtt("[propx:V]") == pre.PreContext((("propx", pre.UnivV()),))
+
+
 def test_emtt_parse_errors():
     for bad in ["lam x V. x", "{x eps x | bot}", "a eps", "Sig x:. V", "cons(a)"]:
         with pytest.raises(ParseError) as e:

@@ -168,3 +168,63 @@ def test_minimized_failure_lands_in_report():
     assert not report.ok
     # the shrinker reduces every reported failure to an atom
     assert all(len(f.subject) <= len("false -> false") for f in report.failures)
+
+
+def test_generator_stream_is_pinned():
+    # every seeded sweep report depends on this stream; a generator change
+    # that moves one draw fails here before it moves a report
+    import hashlib
+    import itertools
+
+    from mfbridge.printer import print_emtt, print_set
+    cfg = GenConfig(seed=7, max_depth=4, omega_allowed=True, deep_el_list=True)
+    printed = {
+        gen_set_formula: (
+            r"((ex b1. omega = b1) -> omega in {y, z}) -> y in {b2 in {y, omega} | false /\ empty = omega}",
+            "all b1. {omega, {x, empty}} in omega",
+            "{Un({b1 in empty | empty in omega}), {{z, x}, Un(empty)}} in {empty, Un(omega)}"),
+        gen_set_term: (
+            "{b1 in {b2 in empty | empty in omega} | {omega, {x, omega}} in y}",
+            "Pow(omega)",
+            "omega"),
+        gen_preprop: (
+            "((ex b1:N0. star =[N0] star) -> inl(star) =[N1] PowV(omegaV)) -> "
+            "cons(elQ[P1,(b3,b4)b3 =[V] b4](emptyV,(b5)star),emp0(tt)) =[{ b2 | bot }] "
+            "cls[V,(b7,b8)tt =[V] omegaV](inl(x))",
+            r"all b1:N1. inl(star) eps { b2 | eps eps emptyV } /\ <eps,eps> eps N0",
+            "PowV({elQ[V,(b1,b2)b1 =[V] b2](eps,(b3)tt),inr(eps)}V) eps V"),
+        gen_preterm: (
+            "<{<PowV(emptyV),cls[N0,(b1,b2)b2 eps star](omegaV)>,{emp0(eps),inl(star)}V}V,"
+            "PowV({b3 eps {star,emptyV}V | bot})>",
+            "lam b1:N1. inl(PowV(PowV(omegaV)))",
+            "elList[N1](omegaV,omegaV,(b1,b2,b3)emptyV)"),
+        gen_precollection: (
+            "Sig b1:{ b2 | (ex b3:N0. b3 eps star) -> eps =[N1] star }. "
+            "[prop cons(emptyV,tt) =[{ b4 | bot }] name(N1)]",
+            "Pi b1:V. List([prop eps eps N1])",
+            "V"),
+    }
+    for gen, want in printed.items():
+        show = print_set if gen in (gen_set_formula, gen_set_term) else print_emtt
+        assert tuple(show(gen(cfg, i)) for i in (1, 2, 3)) == want, gen.__name__
+    digest = hashlib.sha256()
+    for seed, depth, omega, deep, gen, i in itertools.product(
+            range(5), range(5), (False, True), (False, True), printed, range(2)):
+        grid = GenConfig(seed=seed, max_depth=depth, omega_allowed=omega, deep_el_list=deep)
+        digest.update(repr(gen(grid, i)).encode())
+    assert digest.hexdigest() == "bb44e4bffd27b94d25cc03db25d0650555f54c74d859f4b2d4d0d35a39d3f605"
+
+
+def test_generator_pools_cover_every_core_class():
+    # a constructor missing from every pool would silently never be drawn
+    from mfbridge.properties import _LEAVES, _OVERRIDES, _pool
+    pooled = {cls for sort in _LEAVES for inner in (False, True)
+              for cls in _pool(sort, inner, True, True)}
+    for module, root in ((fol, fol.SetNode), (pre, pre.EmttNode)):
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and issubclass(cls, root)
+                    and dataclasses.is_dataclass(cls) and cls not in fol.SUGAR_CLASSES):
+                assert cls in pooled, cls
+    # an override replaces the draw of one child field of a drawn class
+    for cls, j in _OVERRIDES:
+        assert cls in pooled and isinstance(cls.binding[j], tuple), (cls, j)
