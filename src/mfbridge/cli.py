@@ -159,7 +159,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    d = sexp.loads(_read(args.derivation), K0_REGISTRY)
+    d = sexp.loads(_read(args.derivation), K0_REGISTRY, delta0_k0.K0Node)
     gamma = parse_set_formula(_read(args.gamma))
     fresh = FreshNames.for_nodes(gamma)
     gamma = normalize_binders(fol.elaborate(gamma, fresh), fresh)

@@ -11,8 +11,11 @@ a tuple with one entry per dataclass field:
 
 All generic operations (free_vars, subst, alpha_eq, normalize_binders) are
 driven by these specs, and `field_sorts` reads each field's annotated sort
-for the parser, the rule reader and the generator, so each language only
+for the parsers, the rule reader and the generator, so each language only
 declares its node shapes.
+
+A frozen node caches its `free_vars` and its hash.  Node has the one `__eq__`
+and `__hash__` (type plus field values); node classes are declared `eq=False`.
 """
 from __future__ import annotations
 
@@ -26,7 +29,17 @@ class Node:
     var_cls: type | None = None  # Var class used when renaming this node's binders
 
     def _values(self):
-        return [getattr(self, f.name) for f in dataclasses.fields(self)]
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return hash(self) == hash(other) and self._values() == other._values()
+
+    def __hash__(self):
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(tuple(self._values())))
+        return self._hash
 
 
 @functools.cache
@@ -70,15 +83,13 @@ class FreshNames:
 
 
 def free_vars(node: Node) -> frozenset[str]:
-    if isinstance(node, VarNode):
-        return frozenset((node.name,))
-    vals = node._values()
-    acc: set[str] = set()
-    for spec, v in zip(node.binding, vals):
-        if isinstance(spec, tuple):
-            bound = {vals[i] for i in spec}
-            acc |= free_vars(v) - bound
-    return frozenset(acc)
+    if "_free_vars" not in node.__dict__:
+        vals = node._values()
+        fv = frozenset((node.name,)) if isinstance(node, VarNode) else frozenset().union(
+            *(free_vars(v) - {vals[i] for i in spec}
+              for spec, v in zip(node.binding, vals) if isinstance(spec, tuple)))
+        object.__setattr__(node, "_free_vars", fv)
+    return node._free_vars
 
 
 def bound_vars(node: Node) -> frozenset[str]:

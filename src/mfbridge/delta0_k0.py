@@ -35,13 +35,13 @@ class K0Node(Node):
 K0Node.var_cls = Var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class K0Atom(K0Node):
     formula: SetFormula
     binding = ((),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class K0Conn(K0Node):
     kind: str  # "and" | "or" | "imp"
     left: K0Node
@@ -49,7 +49,7 @@ class K0Conn(K0Node):
     binding = ("X", (), ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class K0Bounded(K0Node):
     kind: str  # "existsIn" | "forallIn" | "plain"
     z: str

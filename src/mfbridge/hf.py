@@ -31,6 +31,10 @@ Two independent engines are provided and cross-checked in the test suite:
     to an index array over gamma's grid.  Its tables are n x n, so sweeps run
     at rank <= MAX_SWEEP_RANK; rank 4 (n = 65,536) is for single evaluations.
 
+A sweep evaluates each structurally distinct subtree once: a pre-pass counts
+each node's requests, and its arrays stay in a memo until the last one.  That
+is sound, as the arrays depend only on the subtree, `strict` and `pinned`.
+
 The sweep over omega is truncated: omega denotes {0, ..., k-1}, so the
 infinity axiom is NOT modeled and absence of a counterexample is never a
 proof.  Counterexamples are always genuine.
@@ -58,6 +62,10 @@ class Overflow(Exception):
 
 class EvalError(Exception):
     pass
+
+
+class CellCapError(ValueError):
+    """A sweep grid over the engine's cell cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +361,7 @@ def _expand(dims: tuple[str, ...], arr: np.ndarray, target: tuple[str, ...]) -> 
 def _join(n: int, *dimsets) -> tuple[str, ...]:
     target = tuple(sorted(set().union(*dimsets)))
     if n ** len(target) > _MAX_CELLS:
-        raise ValueError(f"sweep grid over {len(target)} variables exceeds the {_MAX_CELLS:,}-cell cap")
+        raise CellCapError(f"sweep grid over {len(target)} variables exceeds the {_MAX_CELLS:,}-cell cap")
     return target
 
 
@@ -366,6 +374,30 @@ class _SweepEngine:
         self.pinned = pinned or {}
         self.n = len(U.elements)
         self.mem, self.pair, self.union, self.pow = U.tables()
+        self.memo, self.uses = {}, {}  # node -> arrays; node -> requests still to come
+
+    def sweep(self, f: SetFormula):
+        """`f`'s (dims, truth, overflow), each distinct subtree evaluated once."""
+        stack = [f]
+        while stack:
+            node = stack.pop()
+            self.uses[node] = self.uses.get(node, 0) + 1
+            if self.uses[node] == 1:  # a memo hit does not descend
+                stack.extend(v for s, v in zip(node.binding, node._values()) if isinstance(s, tuple))
+        return self.formula(f)
+
+    def _cached(self, node, evaluate):
+        out = self.memo.pop(node, None)
+        out = evaluate(node) if out is None else out
+        if left := self.uses.pop(node) - 1:
+            self.uses[node], self.memo[node] = left, out
+        return out
+
+    def term(self, t: SetTerm):
+        return self._cached(t, self._term)
+
+    def formula(self, f: SetFormula):
+        return self._cached(f, self._formula)
 
     def _terms(self, a: SetTerm, b: SetTerm):
         da, va = self.term(a)
@@ -373,7 +405,7 @@ class _SweepEngine:
         dims = _join(self.n, da, db)
         return dims, _expand(da, va, dims), _expand(db, vb, dims)
 
-    def term(self, t: SetTerm):
+    def _term(self, t: SetTerm):
         match t:
             case Var(x):
                 if x in self.pinned:
@@ -419,7 +451,7 @@ class _SweepEngine:
         code = np.moveaxis(inb & _expand(df, tr, full), xpos, -1) @ (1 << np.arange(self.n))
         return out_dims, np.where(bad, -2, code)
 
-    def formula(self, f: SetFormula):
+    def _formula(self, f: SetFormula):
         match f:
             case Bot():
                 return (), np.full((), False), np.full((), False)
@@ -479,7 +511,7 @@ def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
                   strict: bool = False, pinned=None):
     if U.k > MAX_SWEEP_RANK:
         raise ValueError(f"sweeps run at rank <= {MAX_SWEEP_RANK}, not {U.k}")
-    dims, tr, ov = _SweepEngine(U, strict, pinned).formula(f)
+    dims, tr, ov = _SweepEngine(U, strict, pinned).sweep(f)
     full = tuple(sorted(set(variables)))
     missing = set(dims) - set(full)
     if missing:
@@ -506,11 +538,8 @@ def check_valid(f: SetFormula, variables, U: Universe,
 
 
 def check_equivalence(f: SetFormula, g: SetFormula, variables, U: Universe) -> SweepReport:
-    """Exhaustively compare truth values; overflowing environments are skipped."""
-    full, t1, o1 = _sweep_arrays(f, variables, U)
-    _, t2, o2 = _sweep_arrays(g, variables, U)
-    skip = o1 | o2
-    return _report((t1 != t2) & ~skip, skip, full, U)
+    """Compare truth values in one sweep of f <-> g; overflow is skipped."""
+    return check_valid(And(Imp(f, g), Imp(g, f)), variables, U)
 
 
 def standard_axioms() -> list[tuple[str, SetFormula]]:

@@ -19,8 +19,6 @@ as operands.
 """
 from __future__ import annotations
 
-from dataclasses import fields
-
 from . import emtt_syntax as pre
 from . import set_syntax as fol
 from .core import VarNode
@@ -113,8 +111,8 @@ NOTATION = {
 # each notation with its slots as (field name, level)
 _ITEMS = {cls: (level, tuple(
     item if isinstance(item, str)
-    else (fields(cls)[item[0]].name, item[1]) if isinstance(item, tuple)
-    else (fields(cls)[item].name, 0)
+    else (cls.__match_args__[item[0]], item[1]) if isinstance(item, tuple)
+    else (cls.__match_args__[item], 0)
     for item in items)) for cls, (level, items) in NOTATION.items()}
 
 

@@ -1,8 +1,8 @@
 """Seeded random generators and check drivers for the translation properties.
 
 Every check is reproducible from (seed, config).  Checks sweep rank-bounded
-HF environments; a sample whose sweep skips too many environments to
-overflow is regenerated at a smaller depth so passes cannot go vacuous.
+HF environments; a sample whose sweep skips too much to overflow (so a pass
+would be vacuous) or whose grid is over the cell cap is regenerated shallower.
 
 One generator, `_g`, draws all five sorts from the node declarations.  It
 draws a class from the sort's pool: `_LEAVES` at depth <= 0, above it the
@@ -30,7 +30,7 @@ from . import emtt_syntax as pre
 from . import set_syntax as fol
 from .core import FreshNames, VarNode, field_sorts, free_vars, node_size, walk
 from .hat import PLACEHOLDER, HatTranslator
-from .hf import SweepReport, check_equivalence, check_valid, enumerate_universe, standard_axioms
+from .hf import CellCapError, SweepReport, check_equivalence, check_valid, enumerate_universe, standard_axioms
 from .printer import print_emtt, print_set
 from .tilde import tilde_formula, tilde_term
 
@@ -269,17 +269,22 @@ def _minimize(subject, still_fails, budget: int = 150):
 
 def _sampled(cfg: GenConfig, gen, check, report: CheckReport, count: int) -> None:
     """Run `check(subject) -> (SweepReport, detail)` over `count` seeded
-    subjects, regenerating shallower whenever the sweep skipped too much, and
-    minimizing any failing subject before reporting it."""
+    subjects, regenerating shallower whenever the sweep skipped too much or
+    went over the cell cap, and minimizing any failing subject before reporting it."""
     U = enumerate_universe(cfg.rank)
     for i in range(count):
         attempt = 0
         depth = cfg.max_depth
         while True:
             subject = gen(cfg, i, attempt, depth)
-            rep, subject_str, detail = check(subject, U)
-            if rep is None or not _too_vacuous(rep) or depth == 0:
-                break
+            try:
+                rep, subject_str, detail = check(subject, U)
+            except CellCapError:
+                if depth == 0:
+                    raise
+            else:
+                if rep is None or not _too_vacuous(rep) or depth == 0:
+                    break
             attempt += 1
             depth -= 1
             report.regenerated += 1

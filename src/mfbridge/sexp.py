@@ -3,13 +3,13 @@ rule/derivation file formats.
 
 A node prints as (ClassName field ...); string fields print as bare atoms.
 Loading is driven by a registry mapping head symbols to node classes, with
-field kinds recovered from the class's `binding` spec.
+each field read at its annotated sort (`core.field_sorts`).
 """
 from __future__ import annotations
 
 import dataclasses
 
-from .core import Node
+from .core import Node, field_sorts
 from . import emtt_syntax as pre
 from . import set_syntax as fol
 
@@ -114,39 +114,41 @@ def read_all(text: str) -> list:
     return out
 
 
-def build(tree, registry: dict[str, type]):
-    """Construct an AST node from a parsed s-expression tree."""
+def build(tree, registry: dict[str, type], sort: type = object):
+    """Construct an AST node of `sort` from a parsed s-expression tree."""
     if isinstance(tree, str):
         raise SexpError(f"expected a node, found atom {tree!r}")
     if not tree:
         raise SexpError("empty s-expression")
     head, *args = tree
-    if head == "PreContext":
+    cls = pre.PreContext if head == "PreContext" else registry.get(head)
+    if cls is None:
+        raise SexpError(f"unknown node kind {head!r}")
+    if not issubclass(cls, sort):
+        raise SexpError(f"expected a {sort.__name__}, found {head}")
+    if cls is pre.PreContext:
         entries = []
         for entry in args:
             if isinstance(entry, str) or len(entry) != 2 or not isinstance(entry[0], str):
                 raise SexpError("PreContext entries must be (name collection)")
-            entries.append((entry[0], build(entry[1], registry)))
+            entries.append((entry[0], build(entry[1], registry, pre.PreCollection)))
         return pre.PreContext(tuple(entries))
-    cls = registry.get(head)
-    if cls is None:
-        raise SexpError(f"unknown node kind {head!r}")
-    fields = dataclasses.fields(cls)
-    if len(args) != len(fields):
-        raise SexpError(f"{head} expects {len(fields)} fields, got {len(args)}")
+    sorts = field_sorts(cls)
+    if len(args) != len(sorts):
+        raise SexpError(f"{head} expects {len(sorts)} fields, got {len(args)}")
     vals = []
-    for spec, arg in zip(cls.binding, args):
-        if spec in ("X", "B"):
-            if not isinstance(arg, str):
-                raise SexpError(f"{head}: expected an atom, found {arg!r}")
+    for field_sort, arg in zip(sorts, args):
+        if field_sort is not str:
+            vals.append(build(arg, registry, field_sort))
+        elif isinstance(arg, str):
             vals.append(arg)
         else:
-            vals.append(build(arg, registry))
+            raise SexpError(f"{head}: expected an atom, found {arg!r}")
     try:
         return cls(*vals)
     except ValueError as e:
         raise SexpError(str(e)) from None
 
 
-def loads(text: str, registry: dict[str, type]):
-    return build(read(text), registry)
+def loads(text: str, registry: dict[str, type], sort: type = object):
+    return build(read(text), registry, sort)

@@ -236,6 +236,18 @@ def test_sigma_rejects_witness_capture(tmp_path, capsys):
         assert err.startswith(f"mismatch at {where}:") and why in err
 
 
+def test_sigma_ill_sorted_derivation(tmp_path, capsys):
+    # a formula where a term goes, and a set term where a derivation goes
+    g = str(DATA / "k0" / "03_exists_in_pair.gamma.fm")
+    good = (DATA / "k0" / "03_exists_in_pair.k0").read_text()
+    for text in (good.replace("(Pair (Var x) (Var x))", "(Pair (Bot) (Var x))"), "(Var x)"):
+        assert text != good
+        d = _write(tmp_path, "d.k0", text)
+        code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, (text, out, err)
+        assert err.startswith("parse error: expected a ")
+
+
 def test_sigma_grid_over_the_cell_cap(tmp_path, capsys):
     g = _write(tmp_path, "g.fm", " /\\ ".join(f"x{i} = x{i}" for i in range(1, 8)))
     d = _write(tmp_path, "d.k0", "(K0Bounded plain z (Eq (Var z) (Empty)) _ "

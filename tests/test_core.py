@@ -1,8 +1,13 @@
-"""Generic binder machinery: fresh names, substitution, alpha-equivalence."""
+"""Generic binder machinery: fresh names, substitution, alpha-equivalence,
+and the metadata each frozen node caches."""
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mfbridge.core import FreshNames, alpha_eq, free_vars, normalize_binders, subst1
+from mfbridge import emtt_syntax as pre
+from mfbridge.core import (FreshNames, Node, VarNode, alpha_eq, free_vars, normalize_binders,
+                           subst1, walk)
 from mfbridge.set_syntax import (And, Bot, Eq, Exists, Forall, Imp, Mem, Omega,
                                  Empty, Sep, Var)
 
@@ -112,3 +117,66 @@ def test_subst_respects_alpha(seed):
     n = normalize_binders(f)
     for x in sorted(free_vars(f))[:1]:
         assert alpha_eq(subst1(f, x, Empty()), subst1(n, x, Empty()))
+
+
+# cached node metadata: free variables, structural equality, one hash
+
+def _walk_free_vars(node):
+    # the uncached definition, walked afresh on every call
+    if isinstance(node, VarNode):
+        return {node.name}
+    vals = node._values()
+    acc = set()
+    for spec, v in zip(node.binding, vals):
+        if isinstance(spec, tuple):
+            acc |= _walk_free_vars(v) - {vals[i] for i in spec}
+    return acc
+
+
+def _all_sorts(seed):
+    from mfbridge import properties as p
+    cfg = p.GenConfig(seed=seed, max_depth=3)
+    return [gen(cfg, i) for i, gen in enumerate((p.gen_set_term, p.gen_set_formula, p.gen_preterm,
+                                                 p.gen_precollection, p.gen_preprop))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_free_vars_match_an_uncached_walk(seed):
+    for root in _all_sorts(seed):
+        for node in walk(root):
+            assert free_vars(node) == _walk_free_vars(node)
+            assert free_vars(node) is free_vars(node)  # the second call reads the cache
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_structurally_equal_nodes_are_equal_with_equal_hashes(seed):
+    for a, b in zip(_all_sorts(seed), _all_sorts(seed)):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(tuple(a._values()))
+    f = Forall("x", Mem(Var("x"), Var("y")))
+    assert f != Forall("x", Mem(Var("y"), Var("x"))) and f != Exists("x", f.body)
+
+
+def test_equality_respects_the_language():
+    assert pre.Var("x") != Var("x") and Var("x") != pre.Var("x")
+    assert Var("x") != "x" and Var("x") == Var("x")
+    assert len({Var("x"), pre.Var("x"), Var("x")}) == 2
+
+
+def test_replace_gives_the_new_nodes_free_vars():
+    f = Forall("x", Eq(Var("x"), Var("y")))
+    assert free_vars(f) == {"y"}
+    g = dataclasses.replace(f, binder="y")
+    assert free_vars(g) == {"x"} and free_vars(f) == {"y"}
+    assert g != f and hash(g) == hash(("y", f.body))
+
+
+def test_every_node_class_uses_the_one_eq_and_hash():
+    # a class declared without eq=False would get a dataclass pair that
+    # recomputes an O(size) hash on every call
+    from mfbridge import delta0_k0, emtt_syntax, rules, set_syntax
+    classes = [c for m in (set_syntax, emtt_syntax, rules, delta0_k0) for c in vars(m).values()
+               if isinstance(c, type) and issubclass(c, Node) and dataclasses.is_dataclass(c)]
+    assert len(classes) > 80
+    for c in classes:
+        assert c.__eq__ is Node.__eq__ and c.__hash__ is Node.__hash__, c

@@ -1,16 +1,18 @@
-"""Finite-universe oracle: enumeration, evaluation, sweeps, engine agreement."""
+"""Finite-universe oracle: enumeration, evaluation, sweeps, engine agreement,
+and the sweep's memo."""
+import collections
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfbridge import hf
-from mfbridge.core import free_vars
+from mfbridge.core import free_vars, subst1, walk
 from mfbridge.hf import (EMPTY, EvalError, Overflow, check_equivalence, check_valid,
                          enumerate_universe, eval_formula, eval_term, make_hf, nat,
                          parse_env, parse_hf, print_hf, standard_axioms)
 from mfbridge.parser import parse_set_formula, parse_set_term
-from mfbridge.set_syntax import (Bot, Empty, Eq, Forall, Imp, Mem, Omega, Pair,
+from mfbridge.set_syntax import (And, Bot, Empty, Eq, Forall, Imp, Mem, Omega, Pair,
                                  Pow, Sep, Union, Var, elaborate)
 
 
@@ -209,3 +211,72 @@ def test_engines_agree_rank3(seed, strict):
     from mfbridge.properties import GenConfig, gen_set_formula
     f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2)))
     _assert_engines_agree(f, enumerate_universe(3), strict)
+
+
+# the per-sweep memo: each structurally distinct subtree is evaluated once
+
+def _subst_shaped_claims():
+    """Claims shaped like check_substitution's, dt -> ((s -> i) /\\ (i -> s)),
+    whose sides share subtrees; in the first, one separation body sits under
+    two binders, so its arrays serve two different reductions."""
+    body, shared = Mem(Var("u"), Var("w")), Union(Var("x"))
+    s = Eq(Sep("u", shared, body), Var("y"))
+    i = Eq(Sep("w", shared, body), Var("y"))
+    dt = Mem(Var("v"), Pow(Var("y")))
+    claims = [Imp(dt, And(Imp(s, i), Imp(i, s)))]
+    from mfbridge.properties import GenConfig, gen_set_formula, gen_set_term
+    seed = 0
+    while len(claims) < 7:
+        cfg = GenConfig(seed=seed, max_depth=3)
+        f, t = elaborate(gen_set_formula(cfg)), elaborate(gen_set_term(cfg, 1))
+        seed += 1
+        if free_vars(f) and len(free_vars(f) | free_vars(t)) <= 4:
+            x = sorted(free_vars(f))[0]
+            s, i = subst1(f, x, t), subst1(f, x, Var("v#1"))
+            claims.append(Imp(Eq(Var("v#1"), t), And(Imp(s, i), Imp(i, s))))
+    return claims
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_memoized_sweep_agrees_with_recursion(strict):
+    for claim in _subst_shaped_claims():
+        _assert_engines_agree(claim, enumerate_universe(2), strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_memo_is_empty_after_the_sweep(strict):
+    for claim in _subst_shaped_claims():
+        engine = hf._SweepEngine(enumerate_universe(2), strict)
+        engine.sweep(claim)
+        assert engine.memo == {} and engine.uses == {}
+
+
+def test_each_distinct_subtree_is_evaluated_once():
+    for claim in _subst_shaped_claims():
+        engine = hf._SweepEngine(enumerate_universe(2))
+        calls = collections.Counter()
+        for name in ("_term", "_formula"):
+            def counted(node, uncached=getattr(engine, name)):
+                calls[node] += 1
+                return uncached(node)
+            setattr(engine, name, counted)
+        engine.sweep(claim)
+        nodes = list(walk(claim))
+        assert len(nodes) > len(calls) == len(set(nodes)) and max(calls.values()) == 1
+    hand = _subst_shaped_claims()[0]
+    sep_body = hand.right.left.left.left.body
+    assert list(walk(hand)).count(sep_body) == 4  # twice in s, twice in i
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_check_equivalence_matches_two_separate_sweeps(seed):
+    from mfbridge.properties import GenConfig, gen_set_formula
+    U = enumerate_universe(2)
+    f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2)))
+    g = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2), 1))
+    for a, b in ((f, g), (f, f), (f, elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2))))):
+        variables = sorted(free_vars(a) | free_vars(b))
+        full, t1, o1 = hf._sweep_arrays(a, variables, U)
+        _, t2, o2 = hf._sweep_arrays(b, variables, U)
+        skip = o1 | o2
+        assert check_equivalence(a, b, variables, U) == hf._report((t1 != t2) & ~skip, skip, full, U)

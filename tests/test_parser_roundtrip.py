@@ -203,3 +203,15 @@ def test_sexp_rejects_malformed():
         sexp.loads("(Var)", sexp.SET_REGISTRY)
     with pytest.raises(sexp.SexpError):
         sexp.loads("(Nope x)", sexp.SET_REGISTRY)
+
+
+@pytest.mark.parametrize("text, registry", [
+    ("(Mem (Bot) (Var x))", sexp.SET_REGISTRY),          # a formula where a term goes
+    ("(And (Var x) (Bot))", sexp.SET_REGISTRY),          # a term where a formula goes
+    ("(Pair (PreContext) (Var x))", sexp.SET_REGISTRY),  # a context is no term
+    ("(Lam x (Var y) (Var x))", sexp.EMTT_REGISTRY),     # a pre-term as a collection
+    ("(PreContext (x (Star)))", sexp.EMTT_REGISTRY),     # a pre-term as a context entry
+])
+def test_sexp_reads_each_field_at_its_sort(text, registry):
+    with pytest.raises(sexp.SexpError, match="expected a"):
+        sexp.loads(text, registry)

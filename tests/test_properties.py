@@ -228,3 +228,24 @@ def test_generator_pools_cover_every_core_class():
     # an override replaces the draw of one child field of a drawn class
     for cls, j in _OVERRIDES:
         assert cls in pooled and isinstance(cls.binding[j], tuple), (cls, j)
+
+
+def test_a_sample_over_the_cell_cap_is_regenerated():
+    # sample 3 of this seed draws a depth-3 substitution claim whose sweep
+    # needs a grid over 7 variables, above the engine's cell cap
+    report = check_substitution(GenConfig(seed=40_600_059, max_depth=3, rank=3, sample_count=4))
+    assert report.ok and report.samples == 4 and report.regenerated == 1
+
+
+def test_the_cell_cap_at_depth_zero_is_an_error():
+    from mfbridge.hf import CellCapError
+    from mfbridge.properties import CheckReport, _sampled, _with_depth
+    report, calls = CheckReport("selftest"), []
+
+    def check(f, U):
+        calls.append(f)
+        raise CellCapError("sweep grid over 7 variables exceeds the cell cap")
+
+    with pytest.raises(CellCapError):
+        _sampled(GenConfig(seed=0, max_depth=2), _with_depth(gen_set_formula), check, report, 1)
+    assert len(calls) == 3 and report.regenerated == 2  # at depths 2, 1 and 0
