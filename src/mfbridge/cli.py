@@ -13,7 +13,7 @@ import sys
 from . import delta0_k0, hf, properties, rules, sexp
 from . import emtt_syntax as pre
 from . import set_syntax as fol
-from .core import FreshNames, Node, free_vars, normalize_binders
+from .core import FreshNames, free_vars, normalize_binders
 from .hat import HatTranslator
 from .parser import (ParseError, parse_collection, parse_context, parse_emtt,
                      parse_prop, parse_set, parse_set_formula, parse_set_term,
@@ -106,19 +106,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-# Environments `eval` may walk: the recursive evaluator visits each one in
-# Python, and 16^5 of them (five nested quantifiers at rank 3) take about 3 s.
-EVAL_MAX_CELLS = 2 ** 20
-
-
-def _quantifier_depth(node: Node) -> int:
-    """Deepest nesting of quantifiers in a core set node.  Each quantifier
-    walks all of V_k; a separation walks only its bound's members, at most
-    log2 |V_k| of them, so it is not counted."""
-    inner = max((_quantifier_depth(v) for v in node._values() if isinstance(v, Node)), default=0)
-    return inner + isinstance(node, (fol.Forall, fol.Exists))
-
-
 def cmd_eval(args) -> int:
     node = parse_set(_read(args.file))
     core = fol.elaborate(node)
@@ -132,18 +119,12 @@ def cmd_eval(args) -> int:
     if outside:
         print(f"environment values outside V_{U.k}: {', '.join(outside)}", file=sys.stderr)
         return 2
-    depth = _quantifier_depth(core)
-    if len(U) ** depth > EVAL_MAX_CELLS:
-        raise ValueError(f"{depth} nested quantifiers over V_{U.k} exceed eval's "
-                         f"{EVAL_MAX_CELLS:,}-cell cap")
     try:
-        if isinstance(core, fol.SetTerm):
-            print(hf.print_hf(hf.eval_term(core, env, U)))
-        else:
-            print("true" if hf.eval_formula(core, env, U) else "false")
+        value = hf.evaluate(core, env, U)
     except hf.Overflow as e:
         print(f"overflow: {e}")
         return 1
+    print(hf.print_hf(value) if isinstance(core, fol.SetTerm) else str(value).lower())
     return 0
 
 

@@ -17,19 +17,20 @@ evaluation engines.
 
 Two independent engines are provided and cross-checked in the test suite:
 
-  * eval_term / eval_formula — plain recursion on canonical HFSet values; it
-    serves `mfbridge eval` and is the reference in the differential tests;
   * a vectorized sweep engine, which exploits the fact that a full universe
     V_k enumerated in Ackermann order has element index == Ackermann code, so
     membership and the term constructors become table lookups.  The tables
     are array expressions over the codes (i is a member of j iff bit i of j
     is set), and a separation is a gather of its bound's membership row
     along the binder axis followed by a bit-weighted sum of the kept
-    members, so no step loops over cells in Python.  It serves
-    check_valid / check_equivalence (the property sweeps and obligation
-    discharge) and the k0 agreement check, which pins each witness variable
-    to an index array over gamma's grid.  Its tables are n x n, so sweeps run
-    at rank <= MAX_SWEEP_RANK; rank 4 (n = 65,536) is for single evaluations.
+    members, so no step loops over cells in Python.  It is the one engine
+    every command runs on: check_valid / check_equivalence (the property
+    sweeps and obligation discharge), the k0 agreement check, which pins
+    each witness variable to an index array over gamma's grid, and
+    `evaluate` (`mfbridge eval`), one sweep with every free variable
+    pinned to its value.  Its tables are n x n, so ranks stop at MAX_RANK;
+  * eval_term / eval_formula — plain recursion on canonical HFSet values,
+    reference-only: the differential tests and the benchmark's checks.
 
 A sweep evaluates each structurally distinct subtree once: a pre-pass counts
 each node's requests, and its arrays stay in a memo until the last one.  That
@@ -47,12 +48,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import subst1
+from .core import FreshNames, free_vars, normalize_binders, subst1
 from .set_syntax import (And, Bot, Empty, Eq, Exists, Forall, Imp, Mem, Omega,
                          Or, Pair, Pow, Sep, SetFormula, SetTerm, Union, Var)
 
-MAX_RANK = 4
-MAX_SWEEP_RANK = 3
+MAX_RANK = 3  # |V_4| = 65,536 would make each n x n table 2^32 cells
 _MAX_CELLS = 20_000_000
 
 
@@ -160,7 +160,10 @@ def parse_env(text: str) -> dict[str, HFSet]:
         name, _, lit = part.partition("=")
         if not _ == "=":
             raise ValueError(f"expected name=value in env entry {part!r}")
-        env[name.strip()] = parse_hf(lit)
+        name = name.strip()
+        if name in env:
+            raise ValueError(f"variable {name!r} given twice in the environment")
+        env[name] = parse_hf(lit)
     return env
 
 
@@ -190,11 +193,7 @@ class Universe:
         return s.code
 
     def tables(self):
-        """(mem, pair, union, pow) as index tables over codes; -1 = escapes V_k.
-
-        Codes are int64 bit masks, so the tables exist only for sweep ranks."""
-        if self.k > MAX_SWEEP_RANK:
-            raise ValueError(f"tables exist at rank <= {MAX_SWEEP_RANK}, not {self.k}")
+        """(mem, pair, union, pow) as index tables over codes; -1 = escapes V_k."""
         if self._tables is None:
             n = len(self.elements)
             code = np.arange(n, dtype=np.int64)
@@ -509,8 +508,6 @@ class SweepReport:
 
 def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
                   strict: bool = False, pinned=None):
-    if U.k > MAX_SWEEP_RANK:
-        raise ValueError(f"sweeps run at rank <= {MAX_SWEEP_RANK}, not {U.k}")
     dims, tr, ov = _SweepEngine(U, strict, pinned).sweep(f)
     full = tuple(sorted(set(variables)))
     missing = set(dims) - set(full)
@@ -535,6 +532,27 @@ def check_valid(f: SetFormula, variables, U: Universe,
     """True in every environment over `variables` that does not overflow."""
     full, tr, ov = _sweep_arrays(f, variables, U, strict)
     return _report(~tr & ~ov, ov, full, U)
+
+
+def evaluate(node, env: Env, U: Universe):
+    """A core formula's truth value or a core term's HFSet in `env`, as one
+    sweep with each free variable pinned; Overflow when it escapes V_k or
+    cannot be determined.  A term t is swept as u = t over a fresh u."""
+    fresh = FreshNames.for_nodes(node)
+    node = normalize_binders(node, fresh)  # no binder reuses a pinned name
+    pinned = {x: ((), np.array(U.index_of(env[x]))) for x in free_vars(node) & env.keys()}
+    if isinstance(node, SetFormula):
+        _, tr, ov = _sweep_arrays(node, (), U, pinned=pinned)
+        if ov:
+            raise Overflow("truth value could not be determined within the rank bound")
+        return bool(tr)
+    u = fresh("u")
+    _, tr, ov = _sweep_arrays(Eq(Var(u), node), (u,), U, pinned=pinned)
+    if ov.any():
+        raise Overflow("value could not be determined within the rank bound")
+    if not tr.any():
+        raise Overflow("value exceeds the rank bound")
+    return U.elements[int(tr.argmax())]
 
 
 def check_equivalence(f: SetFormula, g: SetFormula, variables, U: Universe) -> SweepReport:

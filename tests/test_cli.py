@@ -52,32 +52,38 @@ def test_eval_overflow_exit(tmp_path, capsys):
 
 def test_eval_rejects_out_of_contract_input(tmp_path, capsys):
     f = _write(tmp_path, "a.fm", "x = x")
-    for argv in (("--rank", "-1", "--env", "x={}"), ("--rank", "1", "--env", "x={{{}}}")):
+    for argv in (("--rank", "-1", "--env", "x={}"), ("--rank", "1", "--env", "x={{{}}}"),
+                 ("--rank", "2", "--env", "x={},x={{}},y={{}}")):
         code, out, err = run(capsys, "eval", *argv, f)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, (argv, out, err)
 
 
 def test_eval_over_the_cell_cap(tmp_path, capsys):
-    # 65,536 ** 2 environments at rank 4, and 16 ** 6 at rank 3: refused
-    # before evaluation starts
+    # rank 4 is refused, and so is a grid of 16 ** 7 cells at rank 3, before
+    # evaluation starts; six nested quantifiers over two used variables
+    # sweep only a 16 ** 2 grid
     f = _write(tmp_path, "a.fm", "all x. all y. x = y")
+    seven = _write(tmp_path, "seven.fm", "all a. all b. all c. all d. all e. all f. all g. "
+                                         "{{a, b}, {c, d}} = {{e, f}, g}")
     six = _write(tmp_path, "six.fm", "all a. all b. all c. all d. all e. all f. a = b")
-    for argv in (("--rank", "4", f), ("--rank", "3", six)):
+    for argv, want in ((("--rank", "4", f), "rank"), (("--rank", "3", seven), "cell cap")):
         t0 = time.monotonic()
         code, out, err = run(capsys, "eval", *argv)
         assert time.monotonic() - t0 < 1
         assert code == 2 and out == "" and len(err.splitlines()) == 1, (out, err)
-        assert err.startswith("error:") and "cell cap" in err
-    code, out, _ = run(capsys, "eval", "--rank", "3", f)
-    assert code == 0 and out.strip() == "false"
+        assert err.startswith("error:") and want in err
+    for path in (f, six):
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "eval", "--rank", "3", path)
+        assert time.monotonic() - t0 < 1
+        assert code == 0 and out.strip() == "false"
 
 
 def test_eval_does_not_count_separations(tmp_path, capsys):
-    # a separation walks only its bound's members, so these run at rank 4
     for text, want in (("p1(x) = y", "true"),
                        ("{a in {b in y | b in x} | a in y} = x", "false")):
         f = _write(tmp_path, "a.fm", text)
-        code, out, err = run(capsys, "eval", "--rank", "4", "--env", "x={{}},y={}", f)
+        code, out, err = run(capsys, "eval", "--rank", "3", "--env", "x={{}},y={}", f)
         assert (code, out.strip(), err) == (0, want, ""), (text, out, err)
 
 

@@ -216,13 +216,13 @@ def test_semantics_sep_value():
 def test_semantics_list_membership():
     # {} and {(0,{})} are lists over N1; {{}} is not (not a pair set)
     f = eta(pre.ListC(pre.N1()))
-    from mfbridge.hf import eval_formula, nat, make_hf, EMPTY
-    assert eval_formula(f, {"u": EMPTY}, U3)
+    from mfbridge.hf import evaluate, nat, make_hf, EMPTY
+    assert evaluate(f, {"u": EMPTY}, U3)
     one_list = make_hf([make_hf([make_hf([EMPTY])])])  # {{{{}}}} = {(0,{})}
     # (0,{}) = {{0},{0,{}}} = {{{}}} since 0 = {}
     pair00 = make_hf([make_hf([EMPTY])])
-    assert eval_formula(f, {"u": make_hf([pair00])}, U3)
-    assert not eval_formula(f, {"u": nat(1)}, U3)
+    assert evaluate(f, {"u": make_hf([pair00])}, U3)
+    assert not evaluate(f, {"u": nat(1)}, U3)
 
 
 def test_el_list_structure():

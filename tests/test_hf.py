@@ -2,38 +2,30 @@
 and the sweep's memo."""
 import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfbridge import hf
-from mfbridge.core import free_vars, subst1, walk
+from mfbridge.core import all_names, free_vars, subst1, walk
 from mfbridge.hf import (EMPTY, EvalError, Overflow, check_equivalence, check_valid,
-                         enumerate_universe, eval_formula, eval_term, make_hf, nat,
+                         enumerate_universe, eval_formula, eval_term, evaluate, make_hf, nat,
                          parse_env, parse_hf, print_hf, standard_axioms)
-from mfbridge.parser import parse_set_formula, parse_set_term
+from mfbridge.parser import parse_set, parse_set_formula, parse_set_term
 from mfbridge.set_syntax import (And, Bot, Empty, Eq, Forall, Imp, Mem, Omega, Pair,
-                                 Pow, Sep, Union, Var, elaborate)
+                                 Pow, Sep, SetTerm, Union, Var, elaborate)
 
 
 def test_universe_sizes():
     assert [len(enumerate_universe(k)) for k in range(4)] == [1, 2, 4, 16]
 
 
-def test_universe_size_rank_4():
-    assert len(enumerate_universe(4)) == 65536
-
-
 def test_rank_guard():
-    for k in (-1, 5):
+    # the sweep engine's tables are n x n, and |V_4| = 65,536
+    for k in (-1, 4):
         with pytest.raises(ValueError):
             enumerate_universe(k)
-    # the sweep engine's tables are n x n: rank 4 is for single evaluations only
-    with pytest.raises(ValueError):
-        check_valid(Bot(), [], enumerate_universe(4))
-    with pytest.raises(ValueError):
-        enumerate_universe(4).tables()
-    assert eval_formula(Bot(), {}, enumerate_universe(4)) is False
 
 
 def test_tables_match_hf_operations():
@@ -211,6 +203,54 @@ def test_engines_agree_rank3(seed, strict):
     from mfbridge.properties import GenConfig, gen_set_formula
     f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2)))
     _assert_engines_agree(f, enumerate_universe(3), strict)
+
+
+# `evaluate` (one sweep, every free variable pinned) against the reference:
+# the same value or truth value, and where it overflows, for a term the same
+# message (a formula's overflow message is fixed; the reference's names the atom)
+
+def _outcome(evaluator, node, env, U):
+    try:
+        return evaluator(node, env, U)
+    except Overflow as e:
+        return str(e) if isinstance(node, SetTerm) else "overflow"
+
+
+def _assert_evaluate_agrees(node, env, U):
+    want = _outcome(eval_term if isinstance(node, SetTerm) else eval_formula, node, env, U)
+    got = _outcome(evaluate, node, env, U)
+    assert got == want, (node, env, got, want)
+    return got
+
+
+def test_evaluate_agrees_with_the_reference():
+    from mfbridge.properties import GenConfig, gen_set_formula, gen_set_term
+    seen = set()
+    for seed in range(600):
+        U = enumerate_universe(seed % 4)
+        cfg = GenConfig(seed=seed, max_depth=3, omega_allowed=seed % 3 == 0)
+        rng = random.Random(seed)
+        for gen in (gen_set_term, gen_set_formula):
+            node = elaborate(gen(cfg))
+            # bound names get env values too, which their binders must shadow
+            env = {x: rng.choice(U.elements) for x in sorted(all_names(node))}
+            got = _assert_evaluate_agrees(node, env, U)
+            seen.add(got if isinstance(got, (bool, str)) else "value")
+    assert seen == {True, False, "overflow", "value", "value exceeds the rank bound",
+                    "value could not be determined within the rank bound"}
+
+
+@pytest.mark.parametrize("text", SHADOWING + [
+    "x = x /\\ all x. x in x",
+    "{x in y | empty in x}",
+    "{x in y | x in z} = {z in y | x in z}",
+])
+def test_evaluate_agrees_on_shadowing_binders(text):
+    node = elaborate(parse_set(text))
+    U = enumerate_universe(2)
+    names = sorted(all_names(node))
+    for combo in itertools.product(U.elements, repeat=len(names)):
+        _assert_evaluate_agrees(node, dict(zip(names, combo)), U)
 
 
 # the per-sweep memo: each structurally distinct subtree is evaluated once
