@@ -194,7 +194,9 @@ K0_REGISTRY.update({c.__name__: c for c in delta0_k0.K0_CLASSES})
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mfbridge",
                                  description="two-language symbolic toolkit with a finite-model oracle")
-    default_seed = int(os.environ.get("MF_BRIDGE_SEED", "0"))
+    # argparse applies `type` to a string default only for the chosen
+    # subcommand, so a malformed MF_BRIDGE_SEED is a usage error of `check`
+    default_seed = os.environ.get("MF_BRIDGE_SEED", "0")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a file and pretty-print it")

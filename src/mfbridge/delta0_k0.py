@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from . import hf
 from .core import FreshNames, Node, alpha_eq, free_vars, normalize_binders
 from .hf import Env, SweepReport, _sweep_arrays, check_valid, enumerate_universe
 from .set_syntax import (And, Bot, Eq, Exists, ExistsUnique, Forall, Imp, Mem,
@@ -333,7 +332,7 @@ def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementR
     if not differ.any():
         return AgreementReport(True, int(counted.sum()), int(skip.sum()))
     i = int(differ.argmax())
-    cell = np.unravel_index(i, g_tr.shape)
+    cell = hf.np.unravel_index(i, g_tr.shape)
     env = {x: U.elements[c] for x, c in zip(gvars, cell)}
     env.update((z, U.elements[w[cell]]) for z, (_, w) in pinned.items())
     return AgreementReport(False, int(counted[:i + 1].sum()), int(skip[:i + 1].sum()), env)

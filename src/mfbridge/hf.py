@@ -36,6 +36,10 @@ A sweep evaluates each structurally distinct subtree once: a pre-pass counts
 each node's requests, and its arrays stay in a memo until the last one.  That
 is sound, as the arrays depend only on the subtree, `strict` and `pinned`.
 
+numpy is imported by the first table build (`Universe.tables()`, which every
+sweep calls first), not at import, so commands that never sweep start without
+it; this is the only module that imports numpy.
+
 The sweep over omega is truncated: omega denotes {0, ..., k-1}, so the
 infinity axiom is NOT modeled and absence of a counterexample is never a
 proof.  Counterexamples are always genuine.
@@ -46,12 +50,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import FreshNames, free_vars, normalize_binders, subst1
 from .set_syntax import (And, Bot, Empty, Eq, Exists, Forall, Imp, Mem, Omega,
                          Or, Pair, Pow, Sep, SetFormula, SetTerm, Union, Var)
 
+np = None  # numpy, bound by the first Universe.tables()
 MAX_RANK = 3  # |V_4| = 65,536 would make each n x n table 2^32 cells
 _MAX_CELLS = 20_000_000
 
@@ -194,7 +197,9 @@ class Universe:
 
     def tables(self):
         """(mem, pair, union, pow) as index tables over codes; -1 = escapes V_k."""
+        global np
         if self._tables is None:
+            import numpy as np
             n = len(self.elements)
             code = np.arange(n, dtype=np.int64)
             mem = ((code[None, :] >> code[:, None]) & 1).astype(bool)  # bit i of j
@@ -540,6 +545,7 @@ def evaluate(node, env: Env, U: Universe):
     cannot be determined.  A term t is swept as u = t over a fresh u."""
     fresh = FreshNames.for_nodes(node)
     node = normalize_binders(node, fresh)  # no binder reuses a pinned name
+    U.tables()  # binds np for the pinned arrays
     pinned = {x: ((), np.array(U.index_of(env[x]))) for x in free_vars(node) & env.keys()}
     if isinstance(node, SetFormula):
         _, tr, ov = _sweep_arrays(node, (), U, pinned=pinned)

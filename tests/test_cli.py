@@ -1,11 +1,15 @@
 """CLI behavior: dispatch, exit codes, determinism of output."""
 import io
+import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 
+import mfbridge
 from mfbridge.cli import main
 from mfbridge.parser import MAX_DEPTH
 from mfbridge.sexp import MAX_DEPTH as MAX_SEXP_DEPTH
@@ -302,3 +306,59 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["translate", "--dir", "sideways", "x"])
     assert e.value.code == 2
+
+
+def test_malformed_seed_env_is_a_usage_error_of_check_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MF_BRIDGE_SEED", "abc")
+    f = _write(tmp_path, "a.fm", "x = x")
+    assert run(capsys, "parse", f) == (0, "x = x\n", "")
+    code, out, _ = run(capsys, "check", "--property", "axioms", "--seed", "3", "--samples", "2")
+    assert code == 0 and out.startswith("property axioms: ok")
+    with pytest.raises(SystemExit) as e:
+        main(["check", "--property", "axioms", "--samples", "2"])
+    assert e.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, pkgutil, sys
+import mfbridge, mfbridge.cli
+unloaded = [m.name for m in pkgutil.iter_modules(mfbridge.__path__)
+            if f"mfbridge.{m.name}" not in sys.modules]
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = mfbridge.cli.main(argv)
+    seen.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps([unloaded, seen]))
+"""
+
+
+def _numpy_after(*argvs):
+    """Run each argv through `main` in one fresh interpreter: the mfbridge
+    modules that `import mfbridge.cli` left unloaded, and per argv its
+    command, exit code and whether numpy was loaded by then."""
+    src = str(pathlib.Path(mfbridge.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_numpy_loads_at_the_first_sweep_only(tmp_path):
+    f = _write(tmp_path, "a.fm", "x = empty")
+    ri = _write(tmp_path, "ok.ri", """
+(instance step3.pair-formation (flavor czf)
+  (sub (a emptyv) (b omegav))
+  (premises (elem emptyv V) (elem omegav V))
+  (conclusion (elem (pairv emptyv omegav) V)))
+""")
+    unloaded, seen = _numpy_after(
+        ("parse", f), ("translate", "--dir", "set2emtt", f), ("classify", f),
+        ("rules", "--list"), ("rules", "--check", ri), ("eval", "--rank", "-1", "--env", "x={}", f),
+        ("eval", "--rank", "1", "--env", "x={}", f))
+    assert unloaded == []  # `import mfbridge.cli` loads every module
+    assert seen == [["parse", 0, False], ["translate", 0, False], ["classify", 0, False],
+                    ["rules", 0, False], ["rules", 0, False], ["eval", 2, False], ["eval", 0, True]]
+    _, seen = _numpy_after(("check", "--property", "axioms", "--samples", "2"))
+    assert seen == [["check", 0, True]]
