@@ -132,6 +132,7 @@ def cmd_check(args) -> int:
     for flag, value, least in (("--samples", args.samples, 1), ("--depth", args.depth, 0)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    hf.enumerate_universe(args.rank)  # refuses a rank outside 0..3, even where nothing sweeps
     cfg = properties.GenConfig(seed=args.seed, max_depth=args.depth, rank=args.rank,
                                omega_allowed=args.omega, sample_count=args.samples)
     report = properties.CHECKS[args.property](cfg)

@@ -1,8 +1,11 @@
 """Shared AST machinery: binder-aware traversal, substitution, alpha-equivalence.
 
-Every syntax node in this package is a frozen dataclass deriving from Node.
-A node class describes its binding structure with a `binding` class attribute,
-a tuple with one entry per dataclass field:
+A node class derives from Node and declares its fields, each annotated with
+its sort (`str` for a name), and a `binding` spec, and nothing else: no
+decorator, no dataclass option.  Node makes every class whose own body
+declares `binding` a frozen dataclass; a sort class (SetTerm, PreTerm, ...)
+declares none and stays a plain base class.  The spec is a tuple with one
+entry per field:
 
   "X"          atomic payload (a variable name on a Var node, a kind marker, ...)
   "B"          a binder: the field holds a variable name bound in some siblings
@@ -14,8 +17,8 @@ driven by these specs, and `field_sorts` reads each field's annotated sort
 for the parsers, the rule reader and the generator, so each language only
 declares its node shapes.
 
-A frozen node caches its `free_vars` and its hash.  Node has the one `__eq__`
-and `__hash__` (type plus field values); node classes are declared `eq=False`.
+A frozen node caches its `free_vars` and its hash.  Node has the one `__eq__`,
+`__hash__` (type plus field values) and `__repr__`.
 """
 from __future__ import annotations
 
@@ -27,6 +30,15 @@ import sys
 class Node:
     binding: tuple = ()
     var_cls: type | None = None  # Var class used when renaming this node's binders
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "binding" in cls.__dict__:
+            dataclasses.dataclass(frozen=True, eq=False, repr=False)(cls)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def _values(self):
         return [getattr(self, name) for name in self.__match_args__]

@@ -34,13 +34,11 @@ class K0Node(Node):
 K0Node.var_cls = Var
 
 
-@dataclass(frozen=True, eq=False)
 class K0Atom(K0Node):
     formula: SetFormula
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class K0Conn(K0Node):
     kind: str  # "and" | "or" | "imp"
     left: K0Node
@@ -48,7 +46,6 @@ class K0Conn(K0Node):
     binding = ("X", (), ())
 
 
-@dataclass(frozen=True, eq=False)
 class K0Bounded(K0Node):
     kind: str  # "existsIn" | "forallIn" | "plain"
     z: str
@@ -61,6 +58,15 @@ class K0Bounded(K0Node):
 K0_CLASSES = (K0Atom, K0Conn, K0Bounded)
 
 _CONN = {"and": And, "or": Or, "imp": Imp}
+
+# bounded-step kind -> (quantifier, connective, noun, the shape it must have)
+_BOUNDED = {"existsIn": (Exists, And, "existential", "ex y. y in z /\\ ..."),
+            "forallIn": (Forall, Imp, "universal", "all y. y in z -> ...")}
+
+
+def _bounded(kind: str, y: str, z: str, body: SetFormula) -> SetFormula:
+    quant, conn, _, _ = _BOUNDED[kind]
+    return quant(y, conn(Mem(Var(y), Var(z)), body))
 
 
 @dataclass(frozen=True)
@@ -95,12 +101,8 @@ def derived_formula(d: K0Node) -> SetFormula:
             return _CONN[kind](derived_formula(l), derived_formula(r))
         case K0Bounded("plain", z, delta, _, body):
             return Exists(z, And(delta, derived_formula(body)))
-        case K0Bounded("existsIn", z, delta, y, body):
-            inner = Exists(y, And(Mem(Var(y), Var(z)), derived_formula(body)))
-            return Exists(z, And(delta, inner))
-        case K0Bounded("forallIn", z, delta, y, body):
-            inner = Forall(y, Imp(Mem(Var(y), Var(z)), derived_formula(body)))
-            return Exists(z, And(delta, inner))
+        case K0Bounded(kind, z, delta, y, body) if kind in _BOUNDED:
+            return Exists(z, And(delta, _bounded(kind, y, z, derived_formula(body))))
         case _:
             raise TypeError(f"not a K0 derivation node: {d!r}")
 
@@ -170,29 +172,18 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                 obligations.append(_make_obligation(gamma, z, delta))
                 if kind == "plain":
                     return go(rest, body, path + ".body", bound)
-                if kind == "existsIn":
-                    if not isinstance(rest, Exists):
-                        return fail(path, "expected a bounded existential")
-                    if rest.binder != y:
-                        if y in free_vars(rest.body):
-                            return fail(path, f"cannot align binder: {y!r} already occurs")
-                        rest = Exists(y, _rename(rest.body, rest.binder, y, fresh))
-                    match rest.body:
-                        case And(Mem(Var(yv), Var(zv)), sub) if yv == y and zv == z:
-                            return go(sub, body, path + ".body", bound | {y})
-                    return fail(path, "bounded existential must have shape ex y. y in z /\\ ...")
-                if kind == "forallIn":
-                    if not isinstance(rest, Forall):
-                        return fail(path, "expected a bounded universal")
-                    if rest.binder != y:
-                        if y in free_vars(rest.body):
-                            return fail(path, f"cannot align binder: {y!r} already occurs")
-                        rest = Forall(y, _rename(rest.body, rest.binder, y, fresh))
-                    match rest.body:
-                        case Imp(Mem(Var(yv), Var(zv)), sub) if yv == y and zv == z:
-                            return go(sub, body, path + ".body", bound | {y})
-                    return fail(path, "bounded universal must have shape all y. y in z -> ...")
-                return fail(path, f"unknown bounded-step kind {kind!r}")
+                if kind not in _BOUNDED:
+                    return fail(path, f"unknown bounded-step kind {kind!r}")
+                quant, conn, noun, shape = _BOUNDED[kind]
+                if not isinstance(rest, quant):
+                    return fail(path, f"expected a bounded {noun}")
+                if rest.binder != y:
+                    if y in free_vars(rest.body):
+                        return fail(path, f"cannot align binder: {y!r} already occurs")
+                    rest = quant(y, _rename(rest.body, rest.binder, y, fresh))
+                if isinstance(rest.body, conn) and rest.body.left == Mem(Var(y), Var(z)):
+                    return go(rest.body.right, body, path + ".body", bound | {y})
+                return fail(path, f"bounded {noun} must have shape {shape}")
             case _:
                 return fail(path, f"not a derivation node: {d!r}")
 
@@ -260,12 +251,9 @@ def sigma(d: K0Node, obligations) -> SigmaResult:
                 return _CONN[kind](go(l), go(r))
             case K0Bounded("plain", _, _, _, body):
                 return go(body)
-            case K0Bounded("existsIn", z, _, y, body):
+            case K0Bounded(kind, z, _, y, body) if kind in _BOUNDED:
                 leftovers.append(z)
-                return Exists(y, And(Mem(Var(y), Var(z)), go(body)))
-            case K0Bounded("forallIn", z, _, y, body):
-                leftovers.append(z)
-                return Forall(y, Imp(Mem(Var(y), Var(z)), go(body)))
+                return _bounded(kind, y, z, go(body))
 
     return SigmaResult(go(d), tuple(leftovers))
 

@@ -31,30 +31,25 @@ class PreProposition(EmttNode):
 
 # -- pre-collections -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class N0(PreCollection):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class N1(PreCollection):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class ListC(PreCollection):
     elem: PreCollection
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(PreCollection):
     left: PreCollection
     right: PreCollection
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Sigma(PreCollection):
     binder: str
     dom: PreCollection
@@ -62,7 +57,6 @@ class Sigma(PreCollection):
     binding = ("B", (), (0,))
 
 
-@dataclass(frozen=True, eq=False)
 class Pi(PreCollection):
     binder: str
     dom: PreCollection
@@ -70,7 +64,6 @@ class Pi(PreCollection):
     binding = ("B", (), (0,))
 
 
-@dataclass(frozen=True, eq=False)
 class Quot(PreCollection):
     """base / (b1,b2). rel — quotient by a binary relation."""
     base: PreCollection
@@ -80,38 +73,32 @@ class Quot(PreCollection):
     binding = ((), "B", "B", (1, 2))
 
 
-@dataclass(frozen=True, eq=False)
 class PowOne(PreCollection):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class FunPowOne(PreCollection):
     dom: PreCollection
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Compr(PreCollection):
     binder: str
     body: PreProposition
     binding = ("B", (0,))
 
 
-@dataclass(frozen=True, eq=False)
 class PropAsCol(PreCollection):
     prop: PreProposition
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class UnivV(PreCollection):
-    pass
+    binding = ()
 
 
 # -- pre-terms ------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Var(PreTerm, VarNode):
     name: str
     binding = ("X",)
@@ -120,37 +107,31 @@ class Var(PreTerm, VarNode):
 EmttNode.var_cls = Var
 
 
-@dataclass(frozen=True, eq=False)
 class Emp0(PreTerm):
     scrut: PreTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Star(PreTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class ElN1(PreTerm):
     scrut: PreTerm
     val: PreTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Eps(PreTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Cons(PreTerm):
     lst: PreTerm
     item: PreTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class ElList(PreTerm):
     annot: PreCollection
     scrut: PreTerm
@@ -162,19 +143,16 @@ class ElList(PreTerm):
     binding = ((), (), (), "B", "B", "B", (3, 4, 5))
 
 
-@dataclass(frozen=True, eq=False)
 class Inl(PreTerm):
     arg: PreTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Inr(PreTerm):
     arg: PreTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class ElPlus(PreTerm):
     scrut: PreTerm
     b1: str
@@ -184,14 +162,12 @@ class ElPlus(PreTerm):
     binding = ((), "B", (1,), "B", (3,))
 
 
-@dataclass(frozen=True, eq=False)
 class PairT(PreTerm):
     left: PreTerm
     right: PreTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class ElSigma(PreTerm):
     scrut: PreTerm
     b1: str
@@ -200,7 +176,6 @@ class ElSigma(PreTerm):
     binding = ((), "B", "B", (1, 2))
 
 
-@dataclass(frozen=True, eq=False)
 class Lam(PreTerm):
     binder: str
     annot: PreCollection
@@ -208,14 +183,12 @@ class Lam(PreTerm):
     binding = ("B", (), (0,))
 
 
-@dataclass(frozen=True, eq=False)
 class Ap(PreTerm):
     fn: PreTerm
     arg: PreTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class EqCls(PreTerm):
     """Equivalence class of `arg` in the quotient of `annot` by (b1,b2).rel."""
     arg: PreTerm
@@ -226,7 +199,6 @@ class EqCls(PreTerm):
     binding = ((), (), "B", "B", (2, 3))
 
 
-@dataclass(frozen=True, eq=False)
 class ElQuot(PreTerm):
     """Quotient eliminator; carries the full quotient annotation."""
     annot: PreCollection
@@ -239,48 +211,40 @@ class ElQuot(PreTerm):
     binding = ((), "B", "B", (1, 2), (), "B", (5,))
 
 
-@dataclass(frozen=True, eq=False)
 class TrueT(PreTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class PropIntoP1(PreTerm):
     prop: PreProposition
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Name(PreTerm):
     col: PreCollection
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class EmptyV(PreTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class PairV(PreTerm):
     left: PreTerm
     right: PreTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class UnionV(PreTerm):
     arg: PreTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class PowV(PreTerm):
     arg: PreTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class SepV(PreTerm):
     """{binder eps bound | body}; the binder may not occur free in the bound."""
     binder: str
@@ -293,33 +257,28 @@ class SepV(PreTerm):
             raise ValueError(f"separation binder {self.binder!r} occurs in its bound")
 
 
-@dataclass(frozen=True, eq=False)
 class OmegaV(PreTerm):
-    pass
+    binding = ()
 
 
 # -- pre-propositions -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class BotP(PreProposition):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class EpsTerm(PreProposition):
     elem: PreTerm
     container: PreTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class EpsCol(PreProposition):
     elem: PreTerm
     col: PreCollection
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class EqP(PreProposition):
     annot: PreCollection
     left: PreTerm
@@ -327,28 +286,24 @@ class EqP(PreProposition):
     binding = ((), (), ())
 
 
-@dataclass(frozen=True, eq=False)
 class ImpP(PreProposition):
     left: PreProposition
     right: PreProposition
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class AndP(PreProposition):
     left: PreProposition
     right: PreProposition
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class OrP(PreProposition):
     left: PreProposition
     right: PreProposition
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class ExistsP(PreProposition):
     binder: str
     dom: PreCollection
@@ -356,7 +311,6 @@ class ExistsP(PreProposition):
     binding = ("B", (), (0,))
 
 
-@dataclass(frozen=True, eq=False)
 class ForallP(PreProposition):
     binder: str
     dom: PreCollection

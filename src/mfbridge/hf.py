@@ -119,20 +119,26 @@ def print_hf(s: HFSet) -> str:
 
 
 def parse_hf(text: str) -> HFSet:
-    s, rest = _parse_hf(text.strip())
+    """Read a set literal such as {{},{{}}}.  A literal of rank above MAX_RANK
+    lies outside every universe a command sweeps, and its Ackermann code grows
+    as a tower of exponentials in the rank, so it is refused while being read."""
+    s, rest = _parse_hf(text.strip(), MAX_RANK + 1)
     if rest.strip():
         raise ValueError(f"trailing input in set literal: {rest!r}")
     return s
 
 
-def _parse_hf(text: str) -> tuple[HFSet, str]:
+def _parse_hf(text: str, levels: int) -> tuple[HFSet, str]:
     text = text.lstrip()
     if not text.startswith("{"):
         raise ValueError(f"expected '{{' in set literal at {text[:20]!r}")
+    if not levels:
+        raise ValueError(f"set literal nested deeper than {MAX_RANK + 1} levels "
+                         f"(rank above {MAX_RANK})")
     text = text[1:].lstrip()
     kids = []
     while not text.startswith("}"):
-        c, text = _parse_hf(text)
+        c, text = _parse_hf(text, levels - 1)
         kids.append(c)
         text = text.lstrip()
         if text.startswith(","):

@@ -40,32 +40,27 @@ class RulesError(ValueError):
 
 # -- pattern-only nodes -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class MCol(pre.PreCollection):
     name: str
     binding = ("X",)
 
 
-@dataclass(frozen=True, eq=False)
 class MTerm(pre.PreTerm):
     name: str
     binding = ("X",)
 
 
-@dataclass(frozen=True, eq=False)
 class MProp(pre.PreProposition):
     name: str
     binding = ("X",)
 
 
-@dataclass(frozen=True, eq=False)
 class SubstCol(pre.PreCollection):
     target: pre.PreCollection
     pairs: tuple  # ((replacement-pattern, var-meta-name), ...)
     binding = ((), "X")
 
 
-@dataclass(frozen=True, eq=False)
 class SubstProp(pre.PreProposition):
     target: pre.PreProposition
     pairs: tuple

@@ -35,7 +35,6 @@ class SetFormula(SetNode):
 
 # -- core terms ---------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Var(SetTerm, VarNode):
     name: str
     binding = ("X",)
@@ -44,36 +43,30 @@ class Var(SetTerm, VarNode):
 SetNode.var_cls = Var
 
 
-@dataclass(frozen=True, eq=False)
 class Empty(SetTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Omega(SetTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Pair(SetTerm):
     left: SetTerm
     right: SetTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Union(SetTerm):
     arg: SetTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Pow(SetTerm):
     arg: SetTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Sep(SetTerm):
     """{binder in bound | body}; the binder may not occur free in the bound."""
     binder: str
@@ -88,54 +81,46 @@ class Sep(SetTerm):
 
 # -- core formulas ------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Bot(SetFormula):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Eq(SetFormula):
     left: SetTerm
     right: SetTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Mem(SetFormula):
     left: SetTerm
     right: SetTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class And(SetFormula):
     left: SetFormula
     right: SetFormula
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Or(SetFormula):
     left: SetFormula
     right: SetFormula
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Imp(SetFormula):
     left: SetFormula
     right: SetFormula
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Forall(SetFormula):
     binder: str
     body: SetFormula
     binding = ("B", (0,))
 
 
-@dataclass(frozen=True, eq=False)
 class Exists(SetFormula):
     binder: str
     body: SetFormula
@@ -144,87 +129,73 @@ class Exists(SetFormula):
 
 # -- sugar --------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Zero(SetTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class One(SetTerm):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Singleton(SetTerm):
     arg: SetTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class OrderedPair(SetTerm):
     left: SetTerm
     right: SetTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Cup(SetTerm):
     left: SetTerm
     right: SetTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class P1of(SetTerm):
     arg: SetTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class P2of(SetTerm):
     arg: SetTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Len(SetTerm):
     arg: SetTerm
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Top(SetFormula):
-    pass
+    binding = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Neg(SetFormula):
     body: SetFormula
     binding = ((),)
 
 
-@dataclass(frozen=True, eq=False)
 class Iff(SetFormula):
     left: SetFormula
     right: SetFormula
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class Subset(SetFormula):
     left: SetTerm
     right: SetTerm
     binding = ((), ())
 
 
-@dataclass(frozen=True, eq=False)
 class ExistsUnique(SetFormula):
     binder: str
     body: SetFormula
     binding = ("B", (0,))
 
 
-@dataclass(frozen=True, eq=False)
 class BForall(SetFormula):
     """Bounded universal; the binder may not occur free in the bound."""
     binder: str
@@ -237,7 +208,6 @@ class BForall(SetFormula):
             raise ValueError(f"bounded-quantifier binder {self.binder!r} occurs in its bound")
 
 
-@dataclass(frozen=True, eq=False)
 class BExists(SetFormula):
     binder: str
     bound: SetTerm

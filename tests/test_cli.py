@@ -57,8 +57,12 @@ def test_eval_overflow_exit(tmp_path, capsys):
 def test_eval_rejects_out_of_contract_input(tmp_path, capsys):
     f = _write(tmp_path, "a.fm", "x = x")
     for argv in (("--rank", "-1", "--env", "x={}"), ("--rank", "1", "--env", "x={{{}}}"),
-                 ("--rank", "2", "--env", "x={},x={{}},y={{}}")):
+                 ("--rank", "2", "--env", "x={},x={{}},y={{}}"),
+                 ("--rank", "3", "--env", "x=" + "{" * 8 + "}" * 8),
+                 ("--rank", "3", "--env", "x=" + "{" * 3000 + "}" * 3000)):
+        t0 = time.monotonic()
         code, out, err = run(capsys, "eval", *argv, f)
+        assert time.monotonic() - t0 < 1
         assert code == 2 and out == "" and len(err.splitlines()) == 1, (argv, out, err)
 
 
@@ -115,6 +119,10 @@ def test_check_rejects_out_of_contract_counts(capsys):
         code, out, err = run(capsys, "check", "--property", prop, flag, value)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, (prop, flag, value)
         assert err.startswith(f"error: {flag} must be at least "), err
+    for value in ("9", "-1"):
+        code, out, err = run(capsys, "check", "--property", "freevars", "--samples", "3",
+                             "--rank", value)
+        assert (code, out, err) == (2, "", f"error: rank {value} outside 0..3\n")
 
 
 def test_check_deterministic_output(capsys):

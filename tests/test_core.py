@@ -172,11 +172,33 @@ def test_replace_gives_the_new_nodes_free_vars():
 
 
 def test_every_node_class_uses_the_one_eq_and_hash():
-    # a class declared without eq=False would get a dataclass pair that
-    # recomputes an O(size) hash on every call
-    from mfbridge import delta0_k0, emtt_syntax, rules, set_syntax
-    classes = [c for m in (set_syntax, emtt_syntax, rules, delta0_k0) for c in vars(m).values()
-               if isinstance(c, type) and issubclass(c, Node) and dataclasses.is_dataclass(c)]
+    # Node makes each class that declares `binding` a frozen dataclass with
+    # Node's eq, hash and repr; a dataclass eq/hash pair would recompute an
+    # O(size) hash on every call
+    from mfbridge import delta0_k0, emtt_syntax, rules, set_syntax, sexp
+    modules = (set_syntax, emtt_syntax, rules, delta0_k0)
+    classes = [c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and issubclass(c, Node) and c is not Node
+               and "binding" in vars(c)]
     assert len(classes) > 80
     for c in classes:
+        assert dataclasses.is_dataclass(c), c
         assert c.__eq__ is Node.__eq__ and c.__hash__ is Node.__hash__, c
+        assert c.__repr__ is Node.__repr__, c
+        fields = [f.name for f in dataclasses.fields(c)]
+        assert tuple(fields) == c.__match_args__ and len(fields) == len(c.binding), c
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(object.__new__(c), fields[0] if fields else "binding", None)
+    sorts = (set_syntax.SetNode, set_syntax.SetTerm, set_syntax.SetFormula, emtt_syntax.EmttNode,
+             emtt_syntax.PreCollection, emtt_syntax.PreTerm, emtt_syntax.PreProposition,
+             delta0_k0.K0Node, VarNode)
+    assert not any(dataclasses.is_dataclass(c) for c in sorts)
+    with pytest.raises(sexp.SexpError, match="unknown node kind 'SetTerm'"):
+        sexp.loads("(SetTerm)", sexp.SET_REGISTRY)
+    step = delta0_k0.K0Bounded("existsIn", "z", Eq(Var("z"), Empty()), "y",
+                               delta0_k0.K0Atom(Mem(Var("y"), Var("x"))))
+    assert repr(step) == ("K0Bounded(kind='existsIn', z='z', delta=Eq(left=Var(name='z'), "
+                          "right=Empty()), bound_var='y', body=K0Atom(formula=Mem("
+                          "left=Var(name='y'), right=Var(name='x'))))")
+    pattern = rules.SubstProp(rules.MProp("P"), ((pre.Var("a"), "x"),))
+    assert repr(pattern) == "SubstProp(target=MProp(name='P'), pairs=((Var(name='a'), 'x'),))"

@@ -85,6 +85,36 @@ def test_mismatch_reports_path():
     assert not res.ok and res.mismatch.path == "root.right"
 
 
+def test_bounded_step_mismatch_reasons():
+    # the two bounded kinds differ only in quantifier, connective and wording
+    delta = Eq(Var("z"), Var("x"))
+    gamma = And(Eq(Var("x"), Var("x")), Eq(Var("v"), Var("v")))
+    body = Mem(Var("y"), Var("x"))
+    for kind, quant, conn, noun, shape in (
+            ("existsIn", Exists, And, "existential", "ex y. y in z /\\ ..."),
+            ("forallIn", Forall, Imp, "universal", "all y. y in z -> ...")):
+        d = K0Bounded(kind, "z", delta, "y", K0Atom(body))
+
+        def reason(rest):
+            res = k0_reconstruct(Exists("z", And(delta, rest)), gamma, d)
+            return res.mismatch and res.mismatch.reason
+
+        assert reason(quant("y", conn(Mem(Var("y"), Var("z")), body))) is None
+        assert reason(quant("u", conn(Mem(Var("u"), Var("z")), Mem(Var("u"), Var("x"))))) is None
+        assert reason(Bot()) == f"expected a bounded {noun}"
+        assert reason(quant("y", conn(Mem(Var("z"), Var("y")), body))) == \
+            f"bounded {noun} must have shape {shape}"
+        assert reason(quant("y", Or(Mem(Var("y"), Var("z")), body))) == \
+            f"bounded {noun} must have shape {shape}"
+    d = K0Bounded("existsIn", "z", delta, "v", K0Atom(body))
+    res = k0_reconstruct(Exists("z", And(delta, Exists("u", And(Mem(Var("u"), Var("z")), Eq(
+        Var("u"), Var("v")))))), gamma, d)
+    assert res.mismatch.reason == "cannot align binder: 'v' already occurs"
+    d = K0Bounded("bogus", "z", delta, "y", K0Atom(body))
+    res = k0_reconstruct(Exists("z", And(delta, Bot())), gamma, d)
+    assert res.mismatch.reason == "unknown bounded-step kind 'bogus'"
+
+
 def test_witness_variable_must_be_fresh_for_gamma():
     delta = Eq(Var("z"), Empty())
     d = K0Bounded("plain", "z", delta, "_", K0Atom(Bot()))
