@@ -18,13 +18,11 @@ import functools
 from dataclasses import dataclass, replace
 
 from . import hf
-from .core import FreshNames, Node, alpha_eq, free_vars, normalize_binders
+from .core import FreshNames, Node, alpha_eq, free_vars, normalize_binders, subst1
 from .hf import Env, SweepReport, _sweep_arrays, check_valid, enumerate_universe
 from .set_syntax import (And, Bot, Eq, Exists, ExistsUnique, Forall, Imp, Mem,
                          Or, SetFormula, Var, elaborate, is_delta0)
 from .set_syntax import TheoryFlavor
-
-PLAIN_MARK = "_"
 
 
 class K0Node(Node):
@@ -45,6 +43,10 @@ class K0Conn(K0Node):
     right: K0Node
     binding = ("X", (), ())
 
+    def __post_init__(self):
+        if self.kind not in _CONN:
+            raise ValueError(f"unknown connective kind {self.kind!r}")
+
 
 class K0Bounded(K0Node):
     kind: str  # "existsIn" | "forallIn" | "plain"
@@ -53,6 +55,10 @@ class K0Bounded(K0Node):
     bound_var: str  # "_" for plain steps
     body: K0Node
     binding = ("X", "X", (), "X", ())
+
+    def __post_init__(self):
+        if self.kind != "plain" and self.kind not in _BOUNDED:
+            raise ValueError(f"unknown bounded-step kind {self.kind!r}")
 
 
 K0_CLASSES = (K0Atom, K0Conn, K0Bounded)
@@ -101,7 +107,7 @@ def derived_formula(d: K0Node) -> SetFormula:
             return _CONN[kind](derived_formula(l), derived_formula(r))
         case K0Bounded("plain", z, delta, _, body):
             return Exists(z, And(delta, derived_formula(body)))
-        case K0Bounded(kind, z, delta, y, body) if kind in _BOUNDED:
+        case K0Bounded(kind, z, delta, y, body):
             return Exists(z, And(delta, _bounded(kind, y, z, derived_formula(body))))
         case _:
             raise TypeError(f"not a K0 derivation node: {d!r}")
@@ -126,66 +132,58 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
     seen_z: set[str] = set()
     fresh = FreshNames.for_nodes(phi, gamma, d)
 
-    def fail(path: str, reason: str) -> Mismatch:
-        return Mismatch(path, reason)
-
     def go(phi: SetFormula, d: K0Node, path: str, bound: frozenset = frozenset()) -> Mismatch | None:
         match d:
             case K0Atom(a):
                 if not _atom_ok(a):
-                    return fail(path, "atoms must be falsum or equality/membership of variables")
+                    return Mismatch(path, "atoms must be falsum or equality/membership of variables")
                 if not alpha_eq(phi, a):
-                    return fail(path, "formula does not match the atom certificate")
+                    return Mismatch(path, "formula does not match the atom certificate")
                 return None
             case K0Conn(kind, l, r):
-                cls = _CONN.get(kind)
-                if cls is None:
-                    return fail(path, f"unknown connective kind {kind!r}")
-                if not isinstance(phi, cls):
-                    return fail(path, f"expected a {kind} connective")
+                if not isinstance(phi, _CONN[kind]):
+                    return Mismatch(path, f"expected a {kind} connective")
                 return go(phi.left, l, path + ".left", bound) or go(phi.right, r, path + ".right", bound)
             case K0Bounded(kind, z, delta, y, body):
                 if z in seen_z:
-                    return fail(path, f"bound witness variable {z!r} reused")
+                    return Mismatch(path, f"bound witness variable {z!r} reused")
                 if z in free_vars(gamma):
-                    return fail(path, f"witness variable {z!r} is not fresh for gamma")
+                    return Mismatch(path, f"witness variable {z!r} is not fresh for gamma")
                 stray = free_vars(delta) - free_vars(gamma) - {z}
                 if stray:
-                    return fail(path, f"witness formula mentions {sorted(stray)} beyond gamma and {z!r}")
+                    return Mismatch(path, f"witness formula mentions {sorted(stray)} beyond gamma and {z!r}")
                 captured = sorted((free_vars(delta) | {z}) & bound)
                 if captured:
-                    return fail(path, f"witness step mentions {captured}, bound by an enclosing step")
+                    return Mismatch(path, f"witness step mentions {captured}, bound by an enclosing step")
                 if kind != "plain" and y == z:
-                    return fail(path, f"bounded variable {y!r} captures the step's own witness variable")
+                    return Mismatch(path, f"bounded variable {y!r} captures the step's own witness variable")
                 seen_z.add(z)
                 if not isinstance(phi, Exists):
-                    return fail(path, "expected an existential over the witness variable")
+                    return Mismatch(path, "expected an existential over the witness variable")
                 if phi.binder != z:
                     if z in free_vars(phi.body):
-                        return fail(path, f"cannot align binder: {z!r} already occurs")
+                        return Mismatch(path, f"cannot align binder: {z!r} already occurs")
                     phi = Exists(z, _rename(phi.body, phi.binder, z, fresh))
                 if not isinstance(phi.body, And):
-                    return fail(path, "expected (witness /\\ rest) under the existential")
+                    return Mismatch(path, "expected (witness /\\ rest) under the existential")
                 dl, rest = phi.body.left, phi.body.right
                 if not alpha_eq(dl, delta):
-                    return fail(path, "witness formula differs from the certificate")
+                    return Mismatch(path, "witness formula differs from the certificate")
                 obligations.append(_make_obligation(gamma, z, delta))
                 if kind == "plain":
                     return go(rest, body, path + ".body", bound)
-                if kind not in _BOUNDED:
-                    return fail(path, f"unknown bounded-step kind {kind!r}")
                 quant, conn, noun, shape = _BOUNDED[kind]
                 if not isinstance(rest, quant):
-                    return fail(path, f"expected a bounded {noun}")
+                    return Mismatch(path, f"expected a bounded {noun}")
                 if rest.binder != y:
                     if y in free_vars(rest.body):
-                        return fail(path, f"cannot align binder: {y!r} already occurs")
+                        return Mismatch(path, f"cannot align binder: {y!r} already occurs")
                     rest = quant(y, _rename(rest.body, rest.binder, y, fresh))
                 if isinstance(rest.body, conn) and rest.body.left == Mem(Var(y), Var(z)):
                     return go(rest.body.right, body, path + ".body", bound | {y})
-                return fail(path, f"bounded {noun} must have shape {shape}")
+                return Mismatch(path, f"bounded {noun} must have shape {shape}")
             case _:
-                return fail(path, f"not a derivation node: {d!r}")
+                return Mismatch(path, f"not a derivation node: {d!r}")
 
     mism = go(phi, d, "root")
     if mism:
@@ -194,7 +192,6 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
 
 
 def _rename(f: SetFormula, old: str, new: str, fresh: FreshNames) -> SetFormula:
-    from .core import subst1
     return subst1(f, old, Var(new), fresh)
 
 
@@ -251,7 +248,7 @@ def sigma(d: K0Node, obligations) -> SigmaResult:
                 return _CONN[kind](go(l), go(r))
             case K0Bounded("plain", _, _, _, body):
                 return go(body)
-            case K0Bounded(kind, z, _, y, body) if kind in _BOUNDED:
+            case K0Bounded(kind, z, _, y, body):
                 leftovers.append(z)
                 return _bounded(kind, y, z, go(body))
 

@@ -283,22 +283,20 @@ def _sampled(cfg: GenConfig, gen, check, report: CheckReport, count: int) -> Non
                 if depth == 0:
                     raise
             else:
-                if rep is None or not _too_vacuous(rep) or depth == 0:
+                if not _too_vacuous(rep) or depth == 0:
                     break
             attempt += 1
             depth -= 1
             report.regenerated += 1
         report.samples += 1
-        if rep is not None:
-            report.skipped_envs += rep.skipped
-            if not rep.ok:
-                def still_fails(cand):
-                    r, _, _ = check(cand, U)
-                    return r is not None and not r.ok and not _too_vacuous(r)
-                small = _minimize(subject, still_fails)
-                rep2, small_str, detail2 = check(small, U)
-                report.failures.append(Failure(i, small_str, detail2 or detail,
-                                               rep2.counterexample))
+        report.skipped_envs += rep.skipped
+        if not rep.ok:
+            def still_fails(cand):
+                r, _, _ = check(cand, U)
+                return not r.ok and not _too_vacuous(r)
+            small = _minimize(subject, still_fails)
+            rep2, small_str, detail2 = check(small, U)
+            report.failures.append(Failure(i, small_str, detail2 or detail, rep2.counterexample))
 
 
 def _with_depth(base):

@@ -239,11 +239,10 @@ def elaborate(node: SetNode, fresh: FreshNames | None = None) -> SetNode:
 
 def _elab(node: SetNode, fresh: FreshNames) -> SetNode:
     vals = node._values()
-    new_vals = list(vals)
-    for j, sp in enumerate(node.binding):
-        if isinstance(sp, tuple):
-            new_vals[j] = _elab(vals[j], fresh)
-    node = type(node)(*new_vals)
+    new_vals = [_elab(v, fresh) if isinstance(sp, tuple) else v
+                for sp, v in zip(node.binding, vals)]
+    if any(n is not v for n, v in zip(new_vals, vals)):
+        node = type(node)(*new_vals)
 
     match node:
         case Zero():
@@ -313,31 +312,18 @@ def is_delta0(node: SetNode, flavor: TheoryFlavor = TheoryFlavor.IZF) -> bool:
     Under CZF the power-set constructor is not part of the term language, so
     any Pow occurrence disqualifies.
     """
+    if isinstance(node, SUGAR_CLASSES) or not isinstance(node, SetNode):
+        raise TypeError(f"not a core set-language node: {node!r}")
     match node:
-        case Var() | Empty() | Omega():
-            return True
-        case Pow(a):
-            return flavor is not TheoryFlavor.CZF and is_delta0(a, flavor)
-        case Pair(a, b):
-            return is_delta0(a, flavor) and is_delta0(b, flavor)
-        case Union(a):
-            return is_delta0(a, flavor)
-        case Sep(_, a, phi):
-            return is_delta0(a, flavor) and is_delta0(phi, flavor)
-        case Bot():
-            return True
-        case Eq(a, b) | Mem(a, b):
-            return is_delta0(a, flavor) and is_delta0(b, flavor)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return is_delta0(l, flavor) and is_delta0(r, flavor)
-        case Forall(x, Imp(Mem(Var(y), a), phi)) if y == x and x not in free_vars(a):
-            return is_delta0(a, flavor) and is_delta0(phi, flavor)
-        case Exists(x, And(Mem(Var(y), a), phi)) if y == x and x not in free_vars(a):
-            return is_delta0(a, flavor) and is_delta0(phi, flavor)
+        case Pow() if flavor is TheoryFlavor.CZF:
+            return False
+        case Forall(x, Imp(Mem(Var(y), a), _)) | Exists(x, And(Mem(Var(y), a), _)) \
+                if y == x and x not in free_vars(a):
+            pass  # bounded: its bound and body are checked below
         case Forall() | Exists():
             return False
-        case _:
-            raise TypeError(f"not a core set-language node: {node!r}")
+    return all(is_delta0(v, flavor) for sp, v in zip(node.binding, node._values())
+               if isinstance(sp, tuple))
 
 
 @dataclass(frozen=True)

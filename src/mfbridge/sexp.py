@@ -121,6 +121,8 @@ def build(tree, registry: dict[str, type], sort: type = object):
     if not tree:
         raise SexpError("empty s-expression")
     head, *args = tree
+    if not isinstance(head, str):
+        raise SexpError("expected a node kind, found a list")
     cls = pre.PreContext if head == "PreContext" else registry.get(head)
     if cls is None:
         raise SexpError(f"unknown node kind {head!r}")

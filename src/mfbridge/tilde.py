@@ -1,14 +1,19 @@
 """Structure-preserving translation from the set language into pre-syntax.
 
-Terms map to the V-constructors, membership/equality become the atomic
-pre-propositions (equality annotated with V), and quantifiers become bounded
-quantifiers over V.  Input must be core (sugar elaborated) and normalized;
-variable names are preserved verbatim.
+Each core constructor has one image constructor (`_IMAGE`): terms map to the
+V-constructors, membership/equality to the atomic pre-propositions, and the
+connectives and quantifiers to their pre-syntax namesakes.  The image takes
+the source's fields in order, each at the image's field sort
+(`core.field_sorts`); where the image has a collection field (the annotation
+of equality, the domain of a quantifier), that field is V, so quantifiers
+become bounded quantifiers over V.  Input must be core (sugar elaborated)
+and normalized; variable names are preserved verbatim.
 """
 from __future__ import annotations
 
 from . import emtt_syntax as pre
 from . import set_syntax as fol
+from .core import field_sorts
 from .set_syntax import is_core
 
 
@@ -16,46 +21,30 @@ class TranslationError(ValueError):
     pass
 
 
+_IMAGE = {fol.Var: pre.Var, fol.Empty: pre.EmptyV, fol.Omega: pre.OmegaV,
+          fol.Pair: pre.PairV, fol.Union: pre.UnionV, fol.Pow: pre.PowV, fol.Sep: pre.SepV,
+          fol.Bot: pre.BotP, fol.Eq: pre.EqP, fol.Mem: pre.EpsTerm, fol.And: pre.AndP,
+          fol.Or: pre.OrP, fol.Imp: pre.ImpP, fol.Forall: pre.ForallP, fol.Exists: pre.ExistsP}
+
+_NOUN = {pre.PreTerm: "term", pre.PreProposition: "formula"}
+
+
+def _tilde(node: fol.SetNode, sort: type) -> pre.EmttNode:
+    image = _IMAGE.get(type(node))
+    if image is None or not issubclass(image, sort):
+        raise TranslationError(f"not a core set {_NOUN[sort]}: {node!r}")
+    vals = iter(node._values())
+    return image(*[pre.UnivV() if s is pre.PreCollection else
+                   next(vals) if s is str else _tilde(next(vals), s)
+                   for s in field_sorts(image)])
+
+
 def tilde_term(t: fol.SetTerm) -> pre.PreTerm:
-    match t:
-        case fol.Var(x):
-            return pre.Var(x)
-        case fol.Empty():
-            return pre.EmptyV()
-        case fol.Omega():
-            return pre.OmegaV()
-        case fol.Pair(a, b):
-            return pre.PairV(tilde_term(a), tilde_term(b))
-        case fol.Union(a):
-            return pre.UnionV(tilde_term(a))
-        case fol.Pow(a):
-            return pre.PowV(tilde_term(a))
-        case fol.Sep(x, a, phi):
-            return pre.SepV(x, tilde_term(a), tilde_formula(phi))
-        case _:
-            raise TranslationError(f"not a core set term: {t!r}")
+    return _tilde(t, pre.PreTerm)
 
 
 def tilde_formula(f: fol.SetFormula) -> pre.PreProposition:
-    match f:
-        case fol.Bot():
-            return pre.BotP()
-        case fol.Eq(a, b):
-            return pre.EqP(pre.UnivV(), tilde_term(a), tilde_term(b))
-        case fol.Mem(a, b):
-            return pre.EpsTerm(tilde_term(a), tilde_term(b))
-        case fol.And(l, r):
-            return pre.AndP(tilde_formula(l), tilde_formula(r))
-        case fol.Or(l, r):
-            return pre.OrP(tilde_formula(l), tilde_formula(r))
-        case fol.Imp(l, r):
-            return pre.ImpP(tilde_formula(l), tilde_formula(r))
-        case fol.Forall(x, body):
-            return pre.ForallP(x, pre.UnivV(), tilde_formula(body))
-        case fol.Exists(x, body):
-            return pre.ExistsP(x, pre.UnivV(), tilde_formula(body))
-        case _:
-            raise TranslationError(f"not a core set formula: {f!r}")
+    return _tilde(f, pre.PreProposition)
 
 
 def tilde(node: fol.SetNode) -> pre.EmttNode:

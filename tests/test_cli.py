@@ -3,6 +3,8 @@ import io
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import time
@@ -264,6 +266,16 @@ def test_sigma_ill_sorted_derivation(tmp_path, capsys):
         code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, (text, out, err)
         assert err.startswith("parse error: expected a ")
+    # an unknown connective or bounded-step kind, or a list where a node kind
+    # goes, is refused as the file is read
+    for text, reason in (
+            ("(K0Conn xor (K0Atom (Bot)) (K0Atom (Bot)))", "unknown connective kind 'xor'"),
+            ("(K0Bounded foo z (Eq (Var z) (Var x)) y (K0Atom (Bot)))",
+             "unknown bounded-step kind 'foo'"),
+            ("((K0Atom (Bot)))", "expected a node kind, found a list")):
+        d = _write(tmp_path, "d.k0", text)
+        code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
+        assert (code, out, err) == (2, "", f"parse error: {reason}\n"), text
 
 
 def test_sigma_grid_over_the_cell_cap(tmp_path, capsys):
@@ -370,3 +382,104 @@ def test_numpy_loads_at_the_first_sweep_only(tmp_path):
                     ["rules", 0, False], ["rules", 0, False], ["eval", 2, False], ["eval", 0, True]]
     _, seen = _numpy_after(("check", "--property", "axioms", "--samples", "2"))
     assert seen == [["check", 0, True]]
+
+
+# -- seeded fuzz: every input ends in an exit code ---------------------------------
+
+FUZZ_RUNS = 2000
+# tokens a mutant may take besides the seed inputs' own words: kind names no
+# command knows, a reserved name, numerals, stray parentheses
+_STRANGERS = ("xor", "foo", "u", "0", "-1", "#", "{}", "(", ")")
+_RULE_INSTANCES = (
+    """(instance step3.pair-formation (flavor izf)
+  (sub (a emptyv) (b omegav))
+  (premises (elem emptyv V) (elem omegav V))
+  (conclusion (elem (pairv emptyv omegav) V)))""",
+    """(instance step4.star-eq (flavor czf) (sub) (premises)
+  (conclusion (eqelem star omegav N1)))""",
+    """(instance step1.compr-formation (flavor czf)
+  (sub (phi (epst w omegav)) (x w))
+  (premises (is (epst q omegav) prop (ctx (q V))))
+  (conclusion (is (compr q (epst q omegav)) col)))""",
+)
+# the commands that read each kind of input; 0 and 1 stand for its files
+_FUZZ_COMMANDS = {
+    "set": (["parse", 0], ["parse", "--format", "sexp", 0], ["classify", 0],
+            ["classify", "--flavor", "zf", 0], ["translate", "--dir", "set2emtt", 0],
+            ["eval", "--rank", "1", "--env", "x={},y={{}},z={}", 0]),
+    "emtt": (["parse", "--lang", "emtt", 0],
+             *(["translate", "--dir", "emtt2set", "--mode", m, 0]
+               for m in ("eta", "delta", "hat", "context"))),
+    "k0": (["sigma", "--rank", "2", "--derivation", 0, "--gamma", 1],),
+    "rules": (["rules", "--check", 0],),
+}
+
+
+def _fuzz_corpus() -> dict[str, list[tuple[str, ...]]]:
+    """Seed inputs by kind, each a tuple of file texts: printed set and
+    pre-syntax ASTs, s-expression derivations with their gamma, and rule
+    instances."""
+    from mfbridge import sexp
+    from mfbridge.printer import print_emtt, print_set
+    from mfbridge.properties import (GenConfig, gen_precollection, gen_preprop,
+                                     gen_preterm, gen_set_formula, gen_set_term)
+    corpus = {"set": [], "emtt": [], "k0": [], "rules": [(t,) for t in _RULE_INSTANCES]}
+    for seed in range(12):
+        cfg = GenConfig(seed=seed, max_depth=2)
+        f = gen_set_formula(cfg)
+        corpus["set"] += [(print_set(f),), (print_set(gen_set_term(cfg)),)]
+        corpus["emtt"] += [(print_emtt(gen(cfg)),)
+                           for gen in (gen_preprop, gen_preterm, gen_precollection)]
+        if seed < 4:
+            corpus["k0"].append((f"(K0Atom {sexp.dumps(f)})", "x = x /\\ y = y /\\ z = z"))
+    for d in sorted((DATA / "k0").glob("*.k0")):
+        corpus["k0"].append((d.read_text(), d.with_suffix(".gamma.fm").read_text()))
+    return corpus
+
+
+def _mutate(text: str, rng, pool) -> str:
+    """Delete, repeat, swap, replace (an atom) or insert a token, once or twice."""
+    tokens = re.findall(r"[()]|[^\s()]+", text)
+    for _ in range(rng.randint(1, 2)):
+        if not tokens:
+            break
+        i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+        op = rng.randrange(5)
+        if op == 0:
+            del tokens[i]
+        elif op == 1:
+            tokens.insert(i, tokens[i])
+        elif op == 2:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == 3:
+            atoms = [k for k, t in enumerate(tokens) if t not in "()"] or [i]
+            tokens[rng.choice(atoms)] = rng.choice(pool)
+        else:
+            tokens.insert(i, rng.choice(pool))
+    return " ".join(tokens)
+
+
+def test_fuzz_cli_ends_in_an_exit_code(tmp_path, capsys):
+    # mutated inputs to every subcommand that reads a file: each ends in exit
+    # 0, 1 or 2, never in an exception, and an exit 2 prints one line on stderr
+    rng = random.Random(0)
+    corpus = _fuzz_corpus()
+    pools = {kind: sorted({t for entry in entries for text in entry
+                           for t in re.findall(r"[^\s()]+", text)} | set(_STRANGERS))
+             for kind, entries in corpus.items()}
+    bad = []
+    for _ in range(FUZZ_RUNS):
+        kind = rng.choice(sorted(corpus))
+        texts = list(rng.choice(corpus[kind]))
+        k = rng.randrange(len(texts))
+        texts[k] = _mutate(texts[k], rng, pools[kind])
+        paths = [_write(tmp_path, f"in{i}", t) for i, t in enumerate(texts)]
+        argv = [paths[a] if isinstance(a, int) else a for a in rng.choice(_FUZZ_COMMANDS[kind])]
+        try:
+            code, out, err = run(capsys, *argv)
+        except Exception as e:
+            bad.append((argv[0], texts, f"{type(e).__name__}: {e}"))
+            continue
+        if code not in (0, 1, 2) or (code == 2 and len(err.splitlines()) != 1):
+            bad.append((argv[0], texts, code, err))
+    assert not bad, f"{len(bad)} of {FUZZ_RUNS} inputs: {bad[:5]}"

@@ -110,9 +110,11 @@ def test_bounded_step_mismatch_reasons():
     res = k0_reconstruct(Exists("z", And(delta, Exists("u", And(Mem(Var("u"), Var("z")), Eq(
         Var("u"), Var("v")))))), gamma, d)
     assert res.mismatch.reason == "cannot align binder: 'v' already occurs"
-    d = K0Bounded("bogus", "z", delta, "y", K0Atom(body))
-    res = k0_reconstruct(Exists("z", And(delta, Bot())), gamma, d)
-    assert res.mismatch.reason == "unknown bounded-step kind 'bogus'"
+    # an unknown kind is refused when the node is built, before any check runs
+    with pytest.raises(ValueError, match="^unknown bounded-step kind 'bogus'$"):
+        K0Bounded("bogus", "z", delta, "y", K0Atom(body))
+    with pytest.raises(ValueError, match="^unknown connective kind 'xor'$"):
+        K0Conn("xor", K0Atom(body), K0Atom(body))
 
 
 def test_witness_variable_must_be_fresh_for_gamma():

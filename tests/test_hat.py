@@ -1,5 +1,7 @@
 """Pre-syntax-to-set translation: frozen clause goldens, structural checks,
 and semantic spot checks against the finite-universe oracle."""
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,11 +11,12 @@ from mfbridge.core import FreshNames, alpha_eq, free_vars
 from mfbridge.hat import PLACEHOLDER, HatTranslator, delta, eta, hat, hat_context
 from mfbridge.hf import check_equivalence, check_valid, enumerate_universe
 from mfbridge.parser import parse_set_formula
-from mfbridge.printer import print_set
-from mfbridge.properties import GenConfig, gen_precollection, gen_preprop, gen_preterm
+from mfbridge.printer import print_emtt, print_set
+from mfbridge.properties import (GenConfig, gen_precollection, gen_preprop, gen_preterm,
+                                 gen_set_formula, gen_set_term)
 from mfbridge.set_syntax import (And, Bot, Empty, Eq, Exists, Forall, Imp, Mem,
                                  Omega, Union, Var)
-from mfbridge.tilde import TranslationError
+from mfbridge.tilde import TranslationError, tilde
 
 U3 = enumerate_universe(3)
 u = Var("u")
@@ -100,6 +103,25 @@ def test_placeholder_rejected():
         eta(pre.Compr("u", pre.BotP()))
     with pytest.raises(TranslationError):
         hat_context(pre.PreContext((("u", pre.UnivV()),)))
+
+
+def _translation_images(seeds):
+    for seed in seeds:
+        cfg = GenConfig(seed=seed, max_depth=3, deep_el_list=seed % 2 == 1)
+        yield print_emtt(tilde(gen_set_formula(cfg, 0)))
+        yield print_emtt(tilde(gen_set_term(cfg, 1)))
+        yield print_set(eta(gen_precollection(cfg, 2)))
+        yield print_set(delta(gen_preterm(cfg, 3)))
+        yield print_set(hat(gen_preprop(cfg, 4)))
+        ctx = pre.PreContext(tuple((f"c{i}", gen_precollection(cfg, 5 + i)) for i in range(2)))
+        yield print_set(hat_context(ctx))
+
+
+def test_translation_images_are_pinned():
+    # every fresh-name draw and substitution order shows in the printed images,
+    # so a rewrite of either translation must keep this digest
+    digest = hashlib.sha256("\n".join(_translation_images(range(150))).encode()).hexdigest()
+    assert digest == "4ec0d59ba5a1e7158ed1e50e243a88e74a1224875f1d87d9c0a984d405557f6e"
 
 
 def test_output_always_core():
