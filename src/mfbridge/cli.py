@@ -66,6 +66,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    if args.dir == "set2emtt" and args.mode:
+        raise ValueError("--mode applies only to --dir emtt2set")
     text = _read(args.file)
     if args.dir == "set2emtt":
         node = parse_set(text)
@@ -169,6 +171,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    if args.list and args.check:
+        raise ValueError("--list and --check exclude each other")
     if args.list:
         flavor = TheoryFlavor(args.flavor)
         for schema in rules.list_rules(flavor, include_derived=args.derived):

@@ -17,14 +17,19 @@ driven by these specs, and `field_sorts` reads each field's annotated sort
 for the parsers, the rule reader and the generator, so each language only
 declares its node shapes.
 
-A frozen node caches its `free_vars` and its hash.  Node has the one `__eq__`,
-`__hash__` (type plus field values) and `__repr__`.
+A node is interned at construction (hash-consing): building a node from the
+same class and field values returns the same object, so identity is equality.
+A frozen node caches its `free_vars`; Node has the one `__repr__`.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import sys
+import weakref
+
+# (class, *field values) -> the one live node built from them
+_INTERNED = weakref.WeakValueDictionary()
 
 
 class Node:
@@ -36,22 +41,22 @@ class Node:
         if "binding" in cls.__dict__:
             dataclasses.dataclass(frozen=True, eq=False, repr=False)(cls)
 
+    def __new__(cls, *args, **kwargs):
+        # on a hit the dataclass __init__ still runs, so validators refuse bad input every time
+        if kwargs:
+            args += tuple(kwargs.get(name) for name in cls.__match_args__[len(args):])
+        key = (cls, *args)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = super().__new__(cls)
+        return node
+
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def _values(self):
         return [getattr(self, name) for name in self.__match_args__]
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return hash(self) == hash(other) and self._values() == other._values()
-
-    def __hash__(self):
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash(tuple(self._values())))
-        return self._hash
 
 
 @functools.cache
@@ -125,10 +130,6 @@ def walk(node: Node):
             yield from walk(v)
 
 
-def _rebuild(node: Node, vals: list) -> Node:
-    return type(node)(*vals)
-
-
 def subst(node: Node, mapping: dict[str, Node], fresh: FreshNames | None = None) -> Node:
     """Simultaneous capture-avoiding substitution of nodes for free variables.
 
@@ -150,8 +151,6 @@ def _subst(node: Node, mapping: dict[str, Node], fresh: FreshNames) -> Node:
     if isinstance(node, VarNode):
         return mapping.get(node.name, node)
     spec = node.binding
-    if not any(isinstance(s, tuple) for s in spec):
-        return node
     vals = node._values()
     eff: dict[int, dict[str, Node]] = {}
     used: set[str] = set()
@@ -163,8 +162,6 @@ def _subst(node: Node, mapping: dict[str, Node], fresh: FreshNames) -> Node:
         eff[j] = m
         for v in m.values():
             used |= free_vars(v)
-    if not any(eff.values()):
-        return node
     renames: dict[int, str] = {}
     for i, sp in enumerate(spec):
         if sp == "B" and vals[i] in used:
@@ -179,7 +176,7 @@ def _subst(node: Node, mapping: dict[str, Node], fresh: FreshNames) -> Node:
                 m[vals[i]] = node.var_cls(renames[i])
         if m:
             new_vals[j] = _subst(vals[j], m, fresh)
-    return _rebuild(node, new_vals)
+    return type(node)(*new_vals)
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
@@ -252,9 +249,7 @@ def _normalize(node: Node, fresh: FreshNames, used: set[str]) -> Node:
         if m:
             child = _subst(child, m, fresh)
         new_vals[j] = _normalize(child, fresh, used)
-    if all(new_vals[i] is vals[i] for i in range(len(vals))):
-        return node
-    return _rebuild(node, new_vals)
+    return type(node)(*new_vals)
 
 
 def node_size(node: Node) -> int:

@@ -238,11 +238,8 @@ def elaborate(node: SetNode, fresh: FreshNames | None = None) -> SetNode:
 
 
 def _elab(node: SetNode, fresh: FreshNames) -> SetNode:
-    vals = node._values()
-    new_vals = [_elab(v, fresh) if isinstance(sp, tuple) else v
-                for sp, v in zip(node.binding, vals)]
-    if any(n is not v for n, v in zip(new_vals, vals)):
-        node = type(node)(*new_vals)
+    node = type(node)(*(_elab(v, fresh) if isinstance(sp, tuple) else v
+                        for sp, v in zip(node.binding, node._values())))
 
     match node:
         case Zero():

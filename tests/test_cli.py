@@ -134,6 +134,22 @@ def test_check_deterministic_output(capsys):
     assert out1 == out2  # byte-identical
 
 
+def test_check_output_does_not_depend_on_the_hash_seed():
+    # node hashes are addresses and string hashes follow PYTHONHASHSEED, so
+    # a report that read a set's iteration order would differ between runs
+    src = str(pathlib.Path(mfbridge.__file__).parents[1])
+    argv = [sys.executable, "-m", "mfbridge.cli", "check", "--property", "subst",
+            "--seed", "3", "--samples", "20"]
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("property subst: ok (20 samples")
+
+
 def test_parse_idempotent(tmp_path, capsys):
     f = _write(tmp_path, "a.fm", "all x. (x in y /\\ false) -> x = empty")
     _, once, _ = run(capsys, "parse", f)
@@ -320,6 +336,20 @@ def test_rules_check(tmp_path, capsys):
         code, out, err = run(capsys, "rules", "--check", wrong)
         assert code == 2 and out == "", conclusion
         assert err.startswith("bad instance file: ") and len(err.splitlines()) == 1, err
+
+
+def test_rules_refuses_list_with_check(tmp_path, capsys):
+    f = _write(tmp_path, "empty.ri", "")
+    for target in (f, str(tmp_path / "nonexistent")):
+        code, out, err = run(capsys, "rules", "--list", "--check", target)
+        assert (code, out, err) == (2, "", "error: --list and --check exclude each other\n")
+
+
+def test_translate_refuses_a_mode_for_set2emtt(tmp_path, capsys):
+    f = _write(tmp_path, "a.fm", "x in y")
+    for mode in ("eta", "delta", "hat", "context"):
+        code, out, err = run(capsys, "translate", "--dir", "set2emtt", "--mode", mode, f)
+        assert (code, out, err) == (2, "", "error: --mode applies only to --dir emtt2set\n")
 
 
 def test_usage_error_exit_2(capsys):

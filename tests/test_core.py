@@ -1,13 +1,19 @@
 """Generic binder machinery: fresh names, substitution, alpha-equivalence,
-and the metadata each frozen node caches."""
+node interning, and the metadata each frozen node caches."""
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mfbridge import core, sexp
 from mfbridge import emtt_syntax as pre
 from mfbridge.core import (FreshNames, Node, VarNode, alpha_eq, free_vars, normalize_binders,
                            subst1, walk)
+from mfbridge.parser import (parse_collection, parse_prop, parse_set_formula, parse_set_term,
+                             parse_term)
+from mfbridge.printer import (print_collection, print_prop, print_set_formula, print_set_term,
+                              print_term)
 from mfbridge.set_syntax import (And, Bot, Eq, Exists, Forall, Imp, Mem, Omega,
                                  Empty, Sep, Var)
 
@@ -119,7 +125,7 @@ def test_subst_respects_alpha(seed):
         assert alpha_eq(subst1(f, x, Empty()), subst1(n, x, Empty()))
 
 
-# cached node metadata: free variables, structural equality, one hash
+# interned nodes and their cached free variables
 
 def _walk_free_vars(node):
     # the uncached definition, walked afresh on every call
@@ -148,12 +154,23 @@ def test_cached_free_vars_match_an_uncached_walk(seed):
             assert free_vars(node) is free_vars(node)  # the second call reads the cache
 
 
+# per sort, in `_all_sorts` order: its printer, its parser and its s-expression registry
+_READ_BACK = ((print_set_term, parse_set_term, sexp.SET_REGISTRY),
+              (print_set_formula, parse_set_formula, sexp.SET_REGISTRY),
+              (print_term, parse_term, sexp.EMTT_REGISTRY),
+              (print_collection, parse_collection, sexp.EMTT_REGISTRY),
+              (print_prop, parse_prop, sexp.EMTT_REGISTRY))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_structurally_equal_nodes_are_equal_with_equal_hashes(seed):
-    for a, b in zip(_all_sorts(seed), _all_sorts(seed)):
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert hash(a) == hash(tuple(a._values()))
+    # every construction path interns, so structurally equal nodes are one object
+    for a, b, (show, parse, registry) in zip(_all_sorts(seed), _all_sorts(seed), _READ_BACK):
+        assert a is b
+        assert parse(show(a)) is a
+        assert sexp.loads(sexp.dumps(a), registry) is a
     f = Forall("x", Mem(Var("x"), Var("y")))
+    assert f is Forall("x", Mem(Var("x"), Var("y")))
     assert f != Forall("x", Mem(Var("y"), Var("x"))) and f != Exists("x", f.body)
 
 
@@ -168,13 +185,36 @@ def test_replace_gives_the_new_nodes_free_vars():
     assert free_vars(f) == {"y"}
     g = dataclasses.replace(f, binder="y")
     assert free_vars(g) == {"x"} and free_vars(f) == {"y"}
-    assert g != f and hash(g) == hash(("y", f.body))
+    assert g != f and dataclasses.replace(g, binder="x") is f
+
+
+def test_the_intern_table_is_weak():
+    # a long sweep leaves no node behind once nothing refers to it
+    from mfbridge.properties import GenConfig, check_substitution
+    gc.collect()
+    before = len(core._INTERNED)
+    assert check_substitution(GenConfig(seed=5, sample_count=30)).ok
+    gc.collect()
+    assert len(core._INTERNED) <= before
+
+
+def test_a_refused_node_is_refused_again_and_not_kept():
+    gc.collect()
+    before = len(core._INTERNED)
+    with pytest.raises(ValueError, match="occurs in its bound") as first:
+        Sep("x", Var("x"), Bot())
+    # the refused node is still alive through `first`, so this attempt finds it in the table
+    with pytest.raises(ValueError, match="occurs in its bound"):
+        Sep("x", Var("x"), Bot())
+    del first
+    gc.collect()
+    assert len(core._INTERNED) == before
 
 
 def test_every_node_class_uses_the_one_eq_and_hash():
     # Node makes each class that declares `binding` a frozen dataclass with
-    # Node's eq, hash and repr; a dataclass eq/hash pair would recompute an
-    # O(size) hash on every call
+    # Node's repr; nodes are interned, so eq and hash are object's identity
+    # ones, and a structural eq/hash pair would cost O(size) on every call
     from mfbridge import delta0_k0, emtt_syntax, rules, set_syntax, sexp
     modules = (set_syntax, emtt_syntax, rules, delta0_k0)
     classes = [c for m in modules for c in vars(m).values()
@@ -183,7 +223,7 @@ def test_every_node_class_uses_the_one_eq_and_hash():
     assert len(classes) > 80
     for c in classes:
         assert dataclasses.is_dataclass(c), c
-        assert c.__eq__ is Node.__eq__ and c.__hash__ is Node.__hash__, c
+        assert c.__eq__ is object.__eq__ and c.__hash__ is object.__hash__, c
         assert c.__repr__ is Node.__repr__, c
         fields = [f.name for f in dataclasses.fields(c)]
         assert tuple(fields) == c.__match_args__ and len(fields) == len(c.binding), c
