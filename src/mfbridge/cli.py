@@ -174,12 +174,16 @@ def cmd_rules(args) -> int:
     if args.list and args.check:
         raise ValueError("--list and --check exclude each other")
     if args.list:
-        flavor = TheoryFlavor(args.flavor)
+        flavor = TheoryFlavor(args.flavor or "czf")
         for schema in rules.list_rules(flavor, include_derived=args.derived):
             mark = " (derived)" if schema.derived else ""
             print(f"{schema.id}  [{', '.join(sorted(schema.flavors))}]{mark}")
         return 0
     if args.check:
+        # an instance file names its own flavor, and --derived selects what --list shows
+        for flag, given in (("--flavor", args.flavor is not None), ("--derived", args.derived)):
+            if given:
+                raise ValueError(f"{flag} applies only to --list")
         try:
             inst = rules.parse_instance(_read(args.check))
         except rules.RulesError as e:
@@ -246,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sigma)
 
     p = sub.add_parser("rules", help="list rule schemas or check an instance file")
-    p.add_argument("--flavor", default="czf", choices=["czf", "izf", "zf"])
+    p.add_argument("--flavor", choices=["czf", "izf", "zf"], help="flavor to list (default czf)")
     p.add_argument("--list", action="store_true")
     p.add_argument("--check", metavar="FILE")
     p.add_argument("--derived", action="store_true", help="include derived-metadata rules in --list")
@@ -265,7 +269,8 @@ def main(argv=None) -> int:
     except TranslationError as e:
         print(f"translation error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, hf.EvalError, RecursionError) as e:
+        # a TypeError is left to show its traceback: it is a fault of the program, not the input
         print(f"error: {e}", file=sys.stderr)
         return 2
 

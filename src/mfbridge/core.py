@@ -2,10 +2,12 @@
 
 A node class derives from Node and declares its fields, each annotated with
 its sort (`str` for a name), and a `binding` spec, and nothing else: no
-decorator, no dataclass option.  Node makes every class whose own body
-declares `binding` a frozen dataclass; a sort class (SetTerm, PreTerm, ...)
-declares none and stays a plain base class.  The spec is a tuple with one
-entry per field:
+decorator, no dataclass option.  Every class whose own body declares
+`binding` is a dataclass without generated methods: `dataclasses` records its
+fields (so `dataclasses.fields`, `replace` and `__match_args__` work), and
+Node builds, validates and freezes its nodes.  A sort class (SetTerm,
+PreTerm, ...) declares no `binding` and stays a plain base class.  The spec
+is a tuple with one entry per field:
 
   "X"          atomic payload (a variable name on a Var node, a kind marker, ...)
   "B"          a binder: the field holds a variable name bound in some siblings
@@ -19,7 +21,10 @@ declares its node shapes.
 
 A node is interned at construction (hash-consing): building a node from the
 same class and field values returns the same object, so identity is equality.
-A frozen node caches its `free_vars`; Node has the one `__repr__`.
+Only the first build checks the arity, fills the fields and runs the class's
+`__post_init__` validator; a refused node never enters the table, so a later
+build of the same fields finds nothing to check.  A frozen node caches its
+`free_vars` and its `fresh_floor`; Node has the one `__repr__`.
 """
 from __future__ import annotations
 
@@ -39,17 +44,41 @@ class Node:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "binding" in cls.__dict__:
-            dataclasses.dataclass(frozen=True, eq=False, repr=False)(cls)
+            # fields, __match_args__ and replace() only: Node builds and freezes the node;
+            # a doc given here spares dataclass an inspect.signature call per class
+            cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__annotations__)})"
+            dataclasses.dataclass(init=False, eq=False, repr=False)(cls)
 
+    # No __init__: object's ignores the arguments of a class that overrides __new__,
+    # so a hit costs the lookup alone.
     def __new__(cls, *args, **kwargs):
-        # on a hit the dataclass __init__ still runs, so validators refuse bad input every time
+        names = cls.__match_args__
         if kwargs:
-            args += tuple(kwargs.get(name) for name in cls.__match_args__[len(args):])
+            rest = names[len(args):]
+            if kwargs.keys() != set(rest):
+                raise TypeError(f"{cls.__qualname__} takes the fields {names}, "
+                                f"got {len(args)} positional and {sorted(kwargs)}")
+            args += tuple(kwargs[name] for name in rest)
         key = (cls, *args)
         node = _INTERNED.get(key)
         if node is None:
-            node = _INTERNED[key] = super().__new__(cls)
+            # a miss: only a node that passes its class's validator enters the table
+            if len(args) != len(names):
+                raise TypeError(f"{cls.__qualname__} takes {len(names)} fields, got {len(args)}")
+            node = object.__new__(cls)
+            node.__dict__.update(zip(names, args))
+            cls.__post_init__(node)
+            _INTERNED[key] = node
         return node
+
+    def __post_init__(self):
+        """Refuse a new node whose fields break a condition of its class."""
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
@@ -88,15 +117,31 @@ class FreshNames:
 
     @classmethod
     def for_nodes(cls, *nodes: Node) -> "FreshNames":
-        k = 0
-        for node in nodes:
-            if node is None:
-                continue
-            for name in all_names(node):
-                head, _, tail = name.partition("#")
-                if tail.isdigit():
-                    k = max(k, int(tail))
-        return cls(k)
+        return cls(max((fresh_floor(n) for n in nodes if n is not None), default=0))
+
+
+def _suffix(name: str) -> int:
+    tail = name.partition("#")[2]
+    return int(tail) if tail.isdigit() else 0
+
+
+def fresh_floor(node: Node) -> int:
+    """The largest k of a '#k' suffix among the names of `all_names(node)`
+    (0 if none), cached on each node as `free_vars` is: a variable's name,
+    the binder fields and the children's floors, so one call visits each
+    distinct subterm once."""
+    if "_fresh_floor" not in node.__dict__:
+        if isinstance(node, VarNode):
+            k = _suffix(node.name)
+        else:
+            k = 0
+            for spec, v in zip(node.binding, node._values()):
+                if spec == "B":
+                    k = max(k, _suffix(v))
+                elif isinstance(spec, tuple):
+                    k = max(k, fresh_floor(v))
+        object.__setattr__(node, "_fresh_floor", k)
+    return node._fresh_floor
 
 
 def free_vars(node: Node) -> frozenset[str]:

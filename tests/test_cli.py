@@ -13,6 +13,7 @@ import pytest
 
 import mfbridge
 from mfbridge.cli import main
+from mfbridge.hf import EvalError
 from mfbridge.parser import MAX_DEPTH
 from mfbridge.sexp import MAX_DEPTH as MAX_SEXP_DEPTH
 
@@ -345,11 +346,38 @@ def test_rules_refuses_list_with_check(tmp_path, capsys):
         assert (code, out, err) == (2, "", "error: --list and --check exclude each other\n")
 
 
+def test_rules_check_refuses_the_list_only_flags(tmp_path, capsys):
+    # an instance file names its own flavor; --flavor and --derived select what --list shows
+    f = _write(tmp_path, "empty.ri", "")
+    for flags, flag in ((["--flavor", "zf"], "--flavor"), (["--flavor", "czf"], "--flavor"),
+                        (["--derived"], "--derived"), (["--flavor", "zf", "--derived"], "--flavor")):
+        code, out, err = run(capsys, "rules", *flags, "--check", f)
+        assert (code, out, err) == (2, "", f"error: {flag} applies only to --list\n"), flags
+    assert run(capsys, "rules", "--list") == run(capsys, "rules", "--flavor", "czf", "--list")
+
+
 def test_translate_refuses_a_mode_for_set2emtt(tmp_path, capsys):
     f = _write(tmp_path, "a.fm", "x in y")
     for mode in ("eta", "delta", "hat", "context"):
         code, out, err = run(capsys, "translate", "--dir", "set2emtt", "--mode", mode, f)
         assert (code, out, err) == (2, "", "error: --mode applies only to --dir emtt2set\n")
+
+
+@pytest.mark.parametrize("error", [EvalError("unbound variable 'x'"),
+                                   RecursionError("maximum recursion depth exceeded")])
+def test_main_turns_an_evaluation_or_recursion_error_into_exit_2(error, capsys, monkeypatch):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(mfbridge.cli, "cmd_parse", fail)
+    assert run(capsys, "parse", "a.fm") == (2, "", f"error: {error}\n")
+
+
+def test_main_leaves_a_type_error_to_show_its_traceback(monkeypatch):
+    def fail(args):
+        raise TypeError("a fault of the program")
+    monkeypatch.setattr(mfbridge.cli, "cmd_parse", fail)
+    with pytest.raises(TypeError, match="a fault of the program"):
+        main(["parse", "a.fm"])
 
 
 def test_usage_error_exit_2(capsys):

@@ -2,20 +2,21 @@
 node interning, and the metadata each frozen node caches."""
 import dataclasses
 import gc
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mfbridge import core, sexp
 from mfbridge import emtt_syntax as pre
-from mfbridge.core import (FreshNames, Node, VarNode, alpha_eq, free_vars, normalize_binders,
-                           subst1, walk)
+from mfbridge.core import (FreshNames, Node, VarNode, all_names, alpha_eq, free_vars, fresh_floor,
+                           normalize_binders, subst1, walk)
 from mfbridge.parser import (parse_collection, parse_prop, parse_set_formula, parse_set_term,
                              parse_term)
 from mfbridge.printer import (print_collection, print_prop, print_set_formula, print_set_term,
                               print_term)
 from mfbridge.set_syntax import (And, Bot, Eq, Exists, Forall, Imp, Mem, Omega,
-                                 Empty, Sep, Var)
+                                 Empty, Sep, SetFormula, Var)
 
 
 def test_fresh_names_deterministic():
@@ -154,6 +155,42 @@ def test_cached_free_vars_match_an_uncached_walk(seed):
             assert free_vars(node) is free_vars(node)  # the second call reads the cache
 
 
+def _floor_of_all_names(node):
+    # the uncached definition of the fresh-name floor: the largest '#k' among all_names
+    tails = (name.partition("#")[2] for name in all_names(node))
+    return max((int(t) for t in tails if t.isdigit()), default=0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_fresh_floor_matches_all_names(seed):
+    from mfbridge.hat import HatTranslator
+    roots = _all_sorts(seed)
+    tr = HatTranslator(FreshNames(seed))
+    # the translations' images and renamed copies bind machine-made '#k' names
+    images = [tr.delta(roots[2]), tr.eta(roots[3]), tr.hat(roots[4])]
+    renamed = [normalize_binders(Forall("x", Forall("x", Eq(Var("x"), Var("y#4")))))]
+    for root in roots + images + renamed:
+        for node in walk(root):
+            assert fresh_floor(node) == _floor_of_all_names(node), node
+    assert fresh_floor(renamed[0]) == 5
+    k = max(map(_floor_of_all_names, roots + images))
+    assert FreshNames.for_nodes(*roots, None, *images)() == f"v#{k + 1}"
+
+
+def test_cached_fresh_floor_on_the_k0_corpus():
+    from mfbridge.cli import K0_REGISTRY
+    from mfbridge.delta0_k0 import K0Atom, K0Bounded
+    data = pathlib.Path(__file__).parent / "data" / "k0"
+    corpus = [sexp.loads(path.read_text(), K0_REGISTRY) for path in sorted(data.glob("*.k0"))]
+    # a bounded step's z and bound_var are payloads ("X"), which all_names leaves out
+    step = K0Bounded("existsIn", "z#9", Eq(Var("w"), Var("a#3")), "y#8",
+                     K0Atom(Mem(Var("u"), Var("x"))))
+    for root in corpus + [step]:
+        for node in walk(root):
+            assert fresh_floor(node) == _floor_of_all_names(node), node
+    assert len(corpus) == 10 and fresh_floor(step) == 3
+
+
 # per sort, in `_all_sorts` order: its printer, its parser and its s-expression registry
 _READ_BACK = ((print_set_term, parse_set_term, sexp.SET_REGISTRY),
               (print_set_formula, parse_set_formula, sexp.SET_REGISTRY),
@@ -203,7 +240,7 @@ def test_a_refused_node_is_refused_again_and_not_kept():
     before = len(core._INTERNED)
     with pytest.raises(ValueError, match="occurs in its bound") as first:
         Sep("x", Var("x"), Bot())
-    # the refused node is still alive through `first`, so this attempt finds it in the table
+    # the refused node never entered the table, so this attempt is a miss and is validated again
     with pytest.raises(ValueError, match="occurs in its bound"):
         Sep("x", Var("x"), Bot())
     del first
@@ -211,15 +248,64 @@ def test_a_refused_node_is_refused_again_and_not_kept():
     assert len(core._INTERNED) == before
 
 
-def test_every_node_class_uses_the_one_eq_and_hash():
-    # Node makes each class that declares `binding` a frozen dataclass with
-    # Node's repr; nodes are interned, so eq and hash are object's identity
-    # ones, and a structural eq/hash pair would cost O(size) on every call
-    from mfbridge import delta0_k0, emtt_syntax, rules, set_syntax, sexp
+def _node_classes():
+    from mfbridge import delta0_k0, emtt_syntax, rules, set_syntax
     modules = (set_syntax, emtt_syntax, rules, delta0_k0)
-    classes = [c for m in modules for c in vars(m).values()
-               if isinstance(c, type) and issubclass(c, Node) and c is not Node
-               and "binding" in vars(c)]
+    return [c for m in modules for c in vars(m).values()
+            if isinstance(c, type) and issubclass(c, Node) and c is not Node
+            and "binding" in vars(c)]
+
+
+def test_wrong_arguments_raise_type_error_and_leave_no_entry():
+    x, y = Var("x"), Var("y")
+    gc.collect()
+    before = len(core._INTERNED)
+    for args, kwargs in (((x,), {}), ((x, y, x), {}), ((), {"left": x}),
+                         ((), {"left": x, "bogus": y}), ((x,), {"left": y}),
+                         ((x, y), {"right": y})):
+        with pytest.raises(TypeError):
+            Mem(*args, **kwargs)
+    gc.collect()
+    assert len(core._INTERNED) == before
+    assert Mem(right=y, left=x) is Mem(x, y) is Mem(x, right=y)
+
+
+def test_no_node_class_carries_a_generated_method():
+    # Node builds, validates and freezes every node; dataclass only records the fields
+    classes = _node_classes()
+    assert len(classes) > 80
+    for c in classes:
+        assert not {"__init__", "__setattr__", "__delattr__", "__repr__", "__eq__"} & set(vars(c)), c
+    node = Mem(Var("x"), Var("y"))
+    for change in (lambda: setattr(node, "left", Var("z")), lambda: delattr(node, "left"),
+                   lambda: setattr(node, "extra", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change()
+    assert node.left is Var("x") and dataclasses.replace(node, left=Var("z")) is Mem(Var("z"), Var("y"))
+
+
+def test_a_hit_does_not_validate_again():
+    calls = []
+
+    class Counted(SetFormula):
+        name: str
+        binding = ("X",)
+
+        def __post_init__(self):
+            calls.append(self.name)
+
+    a = Counted("a")
+    assert Counted("a") is a and Counted(name="a") is a and calls == ["a"]
+    assert Counted("b") is not a and calls == ["a", "b"]
+
+
+def test_every_node_class_uses_the_one_eq_and_hash():
+    # Node makes each class that declares `binding` a dataclass with Node's
+    # constructor, freezing and repr; nodes are interned, so eq and hash are
+    # object's identity ones, and a structural eq/hash pair would cost
+    # O(size) on every call
+    from mfbridge import delta0_k0, emtt_syntax, rules, set_syntax, sexp
+    classes = _node_classes()
     assert len(classes) > 80
     for c in classes:
         assert dataclasses.is_dataclass(c), c
