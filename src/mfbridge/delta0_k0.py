@@ -100,15 +100,25 @@ class ReconstructResult:
 
 def derived_formula(d: K0Node) -> SetFormula:
     """The formula a derivation claims to derive."""
+    return _formula(d, None)
+
+
+def _formula(d: K0Node, leftovers: list[str] | None) -> SetFormula:
+    """The derived formula; with a `leftovers` list, the bound-erased one,
+    which drops each witness conjunct and appends the witness variables of
+    the bounded steps to `leftovers` in preorder."""
     match d:
         case K0Atom(a):
             return a
         case K0Conn(kind, l, r):
-            return _CONN[kind](derived_formula(l), derived_formula(r))
-        case K0Bounded("plain", z, delta, _, body):
-            return Exists(z, And(delta, derived_formula(body)))
+            return _CONN[kind](_formula(l, leftovers), _formula(r, leftovers))
         case K0Bounded(kind, z, delta, y, body):
-            return Exists(z, And(delta, _bounded(kind, y, z, derived_formula(body))))
+            if leftovers is not None and kind != "plain":
+                leftovers.append(z)
+            f = _formula(body, leftovers)
+            if kind != "plain":
+                f = _bounded(kind, y, z, f)
+            return f if leftovers is not None else Exists(z, And(delta, f))
         case _:
             raise TypeError(f"not a K0 derivation node: {d!r}")
 
@@ -239,20 +249,8 @@ def sigma(d: K0Node, obligations) -> SigmaResult:
         raise SigmaError(f"obligation for {bad[0].z!r} is {bad[0].status}; "
                          "all obligations must be hf_verified")
     leftovers: list[str] = []
-
-    def go(d: K0Node) -> SetFormula:
-        match d:
-            case K0Atom(a):
-                return a
-            case K0Conn(kind, l, r):
-                return _CONN[kind](go(l), go(r))
-            case K0Bounded("plain", _, _, _, body):
-                return go(body)
-            case K0Bounded(kind, z, _, y, body):
-                leftovers.append(z)
-                return _bounded(kind, y, z, go(body))
-
-    return SigmaResult(go(d), tuple(leftovers))
+    formula = _formula(d, leftovers)
+    return SigmaResult(formula, tuple(leftovers))
 
 
 def check_separation_lemma(d: K0Node, gamma: SetFormula, rank: int,

@@ -19,16 +19,23 @@ argument are drawn closed: with open scrutinees there the
 same-free-variables contract of the proposition translation provably fails,
 which is a property of the translation clauses, not of this implementation.
 The ASTs are well-formed and binder-distinct.
+
+Every draw goes through `_Gen.choose`, which records the index it takes, so a
+sample is its list of choice indexes.  A replayed list is read in order, each
+entry clamped to the last index of its pool, then padded with 0 (a leaf, or
+the first name in scope), so every list replays to a well-formed sample.
+`_minimize` shrinks a failing sample's list: shorter prefixes, then single
+entries set to 0 or lowered by one, each taken only if the failure reproduces.
 """
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import emtt_syntax as pre
 from . import set_syntax as fol
-from .core import FreshNames, VarNode, field_sorts, free_vars, node_size, walk
+from .core import FreshNames, VarNode, field_sorts, free_vars
 from .hat import PLACEHOLDER, HatTranslator
 from .hf import CellCapError, SweepReport, check_equivalence, check_valid, enumerate_universe, standard_axioms
 from .printer import print_emtt, print_set
@@ -88,13 +95,24 @@ def _rng(cfg: GenConfig, index: int, attempt: int = 0) -> random.Random:
 
 
 class _Gen:
-    """One sample's generator state: an rng plus a binder-name supply that
-    keeps every binder distinct from the free-variable pool."""
+    """One sample's generator state: the choice indexes it draws from an rng or
+    replays from a list, and a binder-name supply kept apart from `VARIABLES`."""
 
-    def __init__(self, cfg: GenConfig, rng: random.Random):
+    def __init__(self, cfg: GenConfig, source: random.Random | list[int]):
         self.cfg = cfg
-        self.rng = rng
+        self.source = source
+        self.choices: list[int] = []
         self._binders = 0
+
+    def choose(self, seq):
+        """One entry of `seq`; its index is recorded in `choices`."""
+        if isinstance(self.source, random.Random):
+            k = self.source.randrange(len(seq))
+        else:
+            n = len(self.choices)
+            k = min(self.source[n], len(seq) - 1) if n < len(self.source) else 0
+        self.choices.append(k)
+        return seq[k]
 
     def binder(self) -> str:
         self._binders += 1
@@ -123,7 +141,7 @@ def gen_precollection(cfg: GenConfig, index: int = 0, attempt: int = 0) -> pre.P
     return _g(_Gen(cfg, _rng(cfg, index, attempt)), pre.PreCollection, cfg.max_depth, ())
 
 
-# Each sort's pools; a repeated class is a weight.  `rng.choice` draws by
+# Each sort's pools; a repeated class is a weight.  `choose` draws by
 # position, so the order of a pool is part of the seeded stream.
 _LEAVES = {
     fol.SetFormula: (fol.Bot, fol.Eq, fol.Mem, fol.Mem),
@@ -161,9 +179,9 @@ def _g(g: _Gen, sort: type, depth: int, scope: tuple[str, ...], top: bool = Fals
     """A random node of `sort`, drawn as the module docstring describes; no
     randomness is spent on binders, so they are all named before any child."""
     cfg = g.cfg
-    cls = g.rng.choice(_pool(sort, depth > 0, cfg.omega_allowed, top or cfg.deep_el_list))
+    cls = g.choose(_pool(sort, depth > 0, cfg.omega_allowed, top or cfg.deep_el_list))
     if issubclass(cls, VarNode):
-        return cls(g.rng.choice(scope + VARIABLES))
+        return cls(g.choose(scope + VARIABLES))
     vals = [g.binder() if spec == "B" else None for spec in cls.binding]
     below = 0 if cls is pre.ElList else depth - 1
     for j, (spec, child_sort) in enumerate(zip(cls.binding, field_sorts(cls))):
@@ -175,21 +193,21 @@ def _g(g: _Gen, sort: type, depth: int, scope: tuple[str, ...], top: bool = Fals
 
 
 def _g_closed_preterm(g: _Gen, *_) -> pre.PreTerm:
-    return g.rng.choice([pre.Star(), pre.Eps(), pre.TrueT(), pre.EmptyV()])
+    return g.choose([pre.Star(), pre.Eps(), pre.TrueT(), pre.EmptyV()])
 
 
 def _g_closed_annot(g: _Gen, *_) -> pre.PreCollection:
     # the quotient eliminator's value clause never reads its annotation, so
     # open annotations would leak variables out of the free-variable contract
     b = g.binder()
-    return g.rng.choice([pre.N0(), pre.N1(), pre.UnivV(), pre.PowOne(),
-                         pre.Compr(b, pre.EqP(pre.UnivV(), pre.Var(b), pre.EmptyV())),
-                         pre.Compr(b, pre.EpsTerm(pre.Var(b), pre.EmptyV()))])
+    return g.choose([pre.N0(), pre.N1(), pre.UnivV(), pre.PowOne(),
+                     pre.Compr(b, pre.EqP(pre.UnivV(), pre.Var(b), pre.EmptyV())),
+                     pre.Compr(b, pre.EpsTerm(pre.Var(b), pre.EmptyV()))])
 
 
 def _g_annot(g: _Gen, sort: type, depth: int, scope: tuple[str, ...]) -> pre.PreCollection:
     """Annotation pool: small collections, including comprehensions."""
-    kind = g.rng.choice(["n0", "n1", "v", "v", "compr"])
+    kind = g.choose(["n0", "n1", "v", "v", "compr"])
     if kind == "n0":
         return pre.N0()
     if kind == "n1":
@@ -215,68 +233,62 @@ _OVERRIDES = {
 }
 
 
+def _g_subst(g: _Gen, depth: int):
+    """A substitution sample: the term t, the subjects a, A and phi, and x."""
+    t = _g(g, pre.PreTerm, max(depth - 1, 0), ())
+    a = _g(g, pre.PreTerm, depth, ())
+    A = _g(g, pre.PreCollection, depth, ())
+    phi = _g(g, pre.PreProposition, depth, ())
+    return t, a, A, phi, g.choose(VARIABLES)
+
+
 # -- check drivers -------------------------------------------------------------------
 
 def _too_vacuous(rep: SweepReport) -> bool:
     return rep.total > 0 and rep.skipped / rep.total >= MAX_SKIP_FRACTION
 
 
-_ATOMS = {fol.SetFormula: fol.Bot(), fol.SetTerm: fol.Empty(),
-          pre.PreProposition: pre.BotP(), pre.PreTerm: pre.Star(),
-          pre.PreCollection: pre.N1()}
+def _minimize(choices: list[int], still_fails, budget: int = 150) -> list[int]:
+    """Greedy shrink of a failing sample's choice list: move to the first
+    smaller list that still fails, until none does or `budget` lists have
+    been checked.  Candidates are the shorter prefixes (the rest replays as
+    0), then each entry set to 0 or decremented by 1.  Every list replays to
+    a well-formed sample, so the result is itself a counterexample."""
+    def smaller(c):
+        for n in range(len(c)):
+            yield c[:n]
+        for i, k in enumerate(c):
+            if k:
+                yield c[:i] + [0] + c[i + 1:]
+                yield c[:i] + [k - 1] + c[i + 1:]
 
-
-def _shrink_steps(subject):
-    """Same-sort replacement candidates for one subject (an AST, or a tuple of
-    ASTs and names shrunk pointwise).  Every candidate is well-formed."""
-    if isinstance(subject, tuple):
-        for i, part in enumerate(subject):
-            for cand in _shrink_steps(part):
-                yield subject[:i] + (cand,) + subject[i + 1:]
-        return
-    sort = next((sort for sort in _LEAVES if isinstance(subject, sort)), None)
-    if sort is None:
-        return
-    atom = _ATOMS[sort]
-    if subject != atom:
-        yield atom
-    seen = {atom}
-    subs = [n for n in walk(subject)
-            if n is not subject and isinstance(n, sort) and n not in seen]
-    for n in sorted(subs, key=node_size):
-        if n not in seen:
-            seen.add(n)
-            yield n
-
-
-def _minimize(subject, still_fails, budget: int = 150):
-    """Greedy shrink: move to any smaller same-sort subject that still fails.
-    Only well-formed ASTs are tried, and a move is taken only when the failure
-    reproduces, so the minimized counterexample is itself a counterexample."""
-    moved = True
-    while moved and budget > 0:
-        moved = False
-        for cand in _shrink_steps(subject):
-            budget -= 1
-            if budget <= 0:
-                break
+    tried = set()
+    while True:
+        for cand in smaller(choices):
+            if tuple(cand) in tried:
+                continue
+            if len(tried) == budget:
+                return choices
+            tried.add(tuple(cand))
             if still_fails(cand):
-                subject = cand
-                moved = True
+                choices = cand
                 break
-    return subject
+        else:
+            return choices
 
 
-def _sampled(cfg: GenConfig, gen, check, report: CheckReport, count: int) -> None:
-    """Run `check(subject) -> (SweepReport, detail)` over `count` seeded
-    subjects, regenerating shallower whenever the sweep skipped too much or
-    went over the cell cap, and minimizing any failing subject before reporting it."""
+def _sampled(cfg: GenConfig, draw, check, report: CheckReport, count: int) -> None:
+    """Run `check(subject, U) -> (SweepReport, subject text, detail)` over
+    `count` seeded subjects `draw(g, depth)`, regenerating shallower whenever
+    the sweep skipped too much or went over the cell cap, and minimizing any
+    failing subject before reporting it."""
     U = enumerate_universe(cfg.rank)
     for i in range(count):
         attempt = 0
         depth = cfg.max_depth
         while True:
-            subject = gen(cfg, i, attempt, depth)
+            g = _Gen(cfg, _rng(cfg, i, attempt))
+            subject = draw(g, depth)
             try:
                 rep, subject_str, detail = check(subject, U)
             except CellCapError:
@@ -291,18 +303,15 @@ def _sampled(cfg: GenConfig, gen, check, report: CheckReport, count: int) -> Non
         report.samples += 1
         report.skipped_envs += rep.skipped
         if not rep.ok:
-            def still_fails(cand):
-                r, _, _ = check(cand, U)
+            def still_fails(choices):
+                try:  # a candidate may have more variables than the sample
+                    r, _, _ = check(draw(_Gen(cfg, choices), depth), U)
+                except CellCapError:
+                    return False
                 return not r.ok and not _too_vacuous(r)
-            small = _minimize(subject, still_fails)
+            small = draw(_Gen(cfg, _minimize(g.choices, still_fails)), depth)
             rep2, small_str, detail2 = check(small, U)
             report.failures.append(Failure(i, small_str, detail2 or detail, rep2.counterexample))
-
-
-def _with_depth(base):
-    def gen(cfg: GenConfig, i: int, attempt: int, depth: int):
-        return base(replace(cfg, max_depth=depth), i, attempt)
-    return gen
 
 
 def check_oneside(cfg: GenConfig, term_count: int | None = None) -> CheckReport:
@@ -321,10 +330,10 @@ def check_oneside(cfg: GenConfig, term_count: int | None = None) -> CheckReport:
         rep = check_equivalence(lhs, img, free_vars(a) | {PLACEHOLDER}, U)
         return rep, print_set(a), "term value description differs from round-trip image"
 
-    _sampled(cfg, _with_depth(gen_set_formula), check_formula, report, cfg.sample_count)
+    _sampled(cfg, lambda g, depth: _g(g, fol.SetFormula, depth, ()), check_formula, report, cfg.sample_count)
     if term_count is None:
         term_count = max(1, cfg.sample_count // 2)
-    _sampled(cfg, _with_depth(gen_set_term), check_term, report, term_count)
+    _sampled(cfg, lambda g, depth: _g(g, fol.SetTerm, depth, ()), check_term, report, term_count)
     return report
 
 
@@ -341,7 +350,7 @@ def check_delta_functional(cfg: GenConfig) -> CheckReport:
         rep = check_valid(claim, free_vars(claim), U)
         return rep, print_emtt(tm), "two distinct values satisfy the description"
 
-    _sampled(cfg, _with_depth(gen_preterm), check, report, cfg.sample_count)
+    _sampled(cfg, lambda g, depth: _g(g, pre.PreTerm, depth, (), top=True), check, report, cfg.sample_count)
     return report
 
 
@@ -349,16 +358,6 @@ def check_substitution(cfg: GenConfig) -> CheckReport:
     """Substitution commutes with the translation, relative to the value of
     the substituted term: delta_t[v/u] -> (X[t/x]-image <-> X-image[v/x])."""
     report = CheckReport("subst")
-
-    def gen(cfg2: GenConfig, i: int, attempt: int, depth: int):
-        little = replace(cfg2, max_depth=depth)
-        g = _Gen(little, _rng(little, i, attempt))
-        t = _g(g, pre.PreTerm, max(depth - 1, 0), ())
-        a = _g(g, pre.PreTerm, depth, ())
-        A = _g(g, pre.PreCollection, depth, ())
-        phi = _g(g, pre.PreProposition, depth, ())
-        x = g.rng.choice(VARIABLES)
-        return t, a, A, phi, x
 
     def check(sample, U):
         t, a, A, phi, x = sample
@@ -386,7 +385,7 @@ def check_substitution(cfg: GenConfig) -> CheckReport:
                 return total, subject, f"{trans}-form of the substitution property fails"
         return total, subject, ""
 
-    _sampled(cfg, gen, check, report, cfg.sample_count)
+    _sampled(cfg, _g_subst, check, report, cfg.sample_count)
     return report
 
 

@@ -6,11 +6,20 @@ import pytest
 from mfbridge import emtt_syntax as pre
 from mfbridge import set_syntax as fol
 from mfbridge.core import bound_vars, free_vars, walk
-from mfbridge.properties import (CHECKS, GenConfig, check_axioms,
-                                 check_delta_functional, check_freevar_contracts,
-                                 check_oneside, check_substitution,
-                                 gen_precollection, gen_preprop, gen_preterm,
-                                 gen_set_formula, gen_set_term)
+from mfbridge.properties import (CHECKS, VARIABLES, GenConfig, _g, _g_subst, _Gen,
+                                 _rng, check_axioms, check_delta_functional,
+                                 check_freevar_contracts, check_oneside,
+                                 check_substitution, gen_precollection, gen_preprop,
+                                 gen_preterm, gen_set_formula, gen_set_term)
+
+# sort -> (draw(g, depth) at the top level, the public generator of the sort)
+DRAWS = {
+    fol.SetFormula: (lambda g, depth: _g(g, fol.SetFormula, depth, ()), gen_set_formula),
+    fol.SetTerm: (lambda g, depth: _g(g, fol.SetTerm, depth, ()), gen_set_term),
+    pre.PreTerm: (lambda g, depth: _g(g, pre.PreTerm, depth, (), top=True), gen_preterm),
+    pre.PreProposition: (lambda g, depth: _g(g, pre.PreProposition, depth, ()), gen_preprop),
+    pre.PreCollection: (lambda g, depth: _g(g, pre.PreCollection, depth, ()), gen_precollection),
+}
 
 
 def test_depth_zero_formula_is_atomic():
@@ -23,7 +32,7 @@ def test_generators_deterministic():
     cfg = GenConfig(seed=99, max_depth=3)
     assert gen_set_formula(cfg, 5) == gen_set_formula(cfg, 5)
     assert gen_preterm(cfg, 5) == gen_preterm(cfg, 5)
-    assert gen_set_formula(cfg, 5) != gen_set_formula(cfg, 6) or True  # indexes vary
+    assert len({gen_set_formula(cfg, i) for i in range(10)}) > 1  # indexes vary
 
 
 def test_generated_asts_are_binder_clean():
@@ -129,32 +138,110 @@ def test_checks_registry():
     assert set(CHECKS) == {"oneside", "deltafun", "subst", "freevars", "axioms"}
 
 
+def _assert_well_formed(node, sort):
+    assert isinstance(node, sort)
+    assert not (free_vars(node) & bound_vars(node))  # walks the whole node
+    binders = [v for n in walk(node) for spec, v in zip(n.binding, n._values()) if spec == "B"]
+    assert len(binders) == len(set(binders))
+
+
+def test_recorded_choices_replay_to_the_same_sample():
+    for seed, i in ((7, 1), (7, 2), (20240801, 5), (3, 0)):
+        cfg = GenConfig(seed=seed, max_depth=4, omega_allowed=True, deep_el_list=True)
+        for draw, gen in DRAWS.values():
+            g = _Gen(cfg, _rng(cfg, i))
+            node = draw(g, cfg.max_depth)
+            assert node is gen(cfg, i)
+            assert draw(_Gen(cfg, g.choices), cfg.max_depth) is node
+        g = _Gen(cfg, _rng(cfg, i))
+        sample = _g_subst(g, 3)
+        again = _g_subst(_Gen(cfg, g.choices), 3)
+        assert all(x is y for x, y in zip(sample, again)) and len(again) == 5
+
+
+def test_any_choice_list_replays_to_a_well_formed_sample():
+    import random
+    rng = random.Random(18)
+    cfg = GenConfig(seed=5, max_depth=3, omega_allowed=True, deep_el_list=True)
+    recorded = []
+    for i in range(5):
+        g = _Gen(cfg, _rng(cfg, i))
+        _g_subst(g, 3)
+        recorded.append(g.choices)
+    lists = [[], [0], [99] * 60]
+    lists += [[rng.randrange(40) for _ in range(rng.randrange(60))] for _ in range(40)]
+    lists += [c[:n] for c in recorded for n in (0, len(c) // 3, len(c) // 2, len(c) - 1)]
+    for choices in lists:
+        for depth in range(4):
+            for sort, (draw, _) in DRAWS.items():
+                _assert_well_formed(draw(_Gen(cfg, choices), depth), sort)
+            t, a, A, phi, x = _g_subst(_Gen(cfg, choices), depth)
+            for node, sort in ((t, pre.PreTerm), (a, pre.PreTerm), (A, pre.PreCollection),
+                               (phi, pre.PreProposition)):
+                _assert_well_formed(node, sort)
+            assert x in VARIABLES
+
+
 def test_minimizer_shrinks_to_small_failing_core():
     from mfbridge.core import node_size
     from mfbridge.properties import _minimize
-    big = gen_set_formula(GenConfig(seed=4, max_depth=4), 0)
+    cfg = GenConfig(seed=4, max_depth=4)
+    draw = DRAWS[fol.SetFormula][0]
+    replay = lambda choices: draw(_Gen(cfg, choices), cfg.max_depth)
+    g = _Gen(cfg, _rng(cfg, 0))
+    big = draw(g, cfg.max_depth)
     # artificial failure predicate: any formula containing a membership atom
     has_mem = lambda f: any(isinstance(n, fol.Mem) for n in walk(f))
-    if not has_mem(big):
-        big = fol.And(big, fol.Mem(fol.Var("x"), fol.Var("y")))
-    small = _minimize(big, has_mem)
+    assert has_mem(big) and not isinstance(big, fol.Mem)
+    small = replay(_minimize(g.choices, lambda choices: has_mem(replay(choices))))
     assert has_mem(small)  # a minimized counterexample still fails
     assert isinstance(small, fol.Mem)
     assert node_size(small) <= node_size(big)
 
 
 def test_minimizer_respects_well_formedness():
-    from mfbridge.properties import _shrink_steps
-    t = gen_preterm(GenConfig(seed=8, max_depth=4), 3)
-    for cand in _shrink_steps(t):
-        assert isinstance(cand, pre.PreTerm)
-        free_vars(cand)  # walks the whole candidate; raises if malformed
+    from mfbridge.core import node_size
+    from mfbridge.properties import _minimize
+    cfg = GenConfig(seed=8, max_depth=4)
+    draw = DRAWS[pre.PreTerm][0]
+    g = _Gen(cfg, _rng(cfg, 0))
+    assert node_size(draw(g, cfg.max_depth)) > 10
+    tried = []
+
+    def still_fails(choices):
+        cand = draw(_Gen(cfg, choices), cfg.max_depth)
+        _assert_well_formed(cand, pre.PreTerm)
+        tried.append(cand)
+        return node_size(cand) > 3
+
+    _minimize(g.choices, still_fails)
+    assert len(tried) > 10
+
+
+def test_a_shrink_candidate_over_the_cell_cap_does_not_reproduce():
+    # a candidate can have more free variables than the sample, so its grid
+    # can go over the cell cap; the sample's own failure is still reported
+    from mfbridge.hf import CellCapError, SweepReport
+    from mfbridge.printer import print_set
+    from mfbridge.properties import CheckReport, _sampled
+    cfg = GenConfig(seed=0, max_depth=2)
+    sample = gen_set_formula(cfg, 0)
+
+    def check(f, U):
+        if f is not sample:
+            raise CellCapError("sweep grid over 7 variables exceeds the cell cap")
+        return SweepReport(False, None, 0, 1), print_set(f), "planted failure"
+
+    report = CheckReport("selftest")
+    _sampled(cfg, DRAWS[fol.SetFormula][0], check, report, 1)
+    assert [(f.index, f.subject, f.detail) for f in report.failures] == \
+        [(0, print_set(sample), "planted failure")]
 
 
 def test_minimized_failure_lands_in_report():
     # break the claim deliberately by comparing a formula with its negation
     from mfbridge.hf import check_equivalence, enumerate_universe
-    from mfbridge.properties import CheckReport, _sampled, _with_depth
+    from mfbridge.properties import CheckReport, _sampled
     from mfbridge.printer import print_set
 
     def check(f, U):
@@ -163,11 +250,64 @@ def test_minimized_failure_lands_in_report():
         return rep, print_set(f), "formula equivalent to its negation"
 
     report = CheckReport("selftest")
-    _sampled(GenConfig(seed=0, max_depth=2, sample_count=3),
-             _with_depth(gen_set_formula), check, report, 3)
+    _sampled(GenConfig(seed=0, max_depth=2, sample_count=3), DRAWS[fol.SetFormula][0],
+             check, report, 3)
     assert not report.ok
     # the shrinker reduces every reported failure to an atom
     assert all(len(f.subject) <= len("false -> false") for f in report.failures)
+
+
+def _epsterm_swap(monkeypatch):
+    # membership in the wrong direction at the end of the EpsTerm clause
+    from mfbridge.hat import PLACEHOLDER, U, HatTranslator, _conj
+    hat = HatTranslator._hat
+
+    def swapped(self, phi):
+        if not isinstance(phi, pre.EpsTerm):
+            return hat(self, phi)
+        v = self.fresh("v")
+        body = _conj(self._delta(phi.elem), self._d(phi.container, v), fol.Mem(fol.Var(v), U))
+        return fol.Exists(PLACEHOLDER, fol.Exists(v, body))
+
+    monkeypatch.setattr(HatTranslator, "_hat", swapped)
+
+
+def _pairv_drop(monkeypatch):
+    from mfbridge import hat
+    monkeypatch.setitem(hat._VALUES, pre.PairV, lambda a, b: fol.Pair(a, a))
+
+
+def _fails_again(failure, U) -> bool:
+    """Re-check a reported round-trip failure from its printed subject."""
+    from mfbridge.core import FreshNames
+    from mfbridge.hat import PLACEHOLDER, HatTranslator
+    from mfbridge.hf import check_equivalence
+    from mfbridge.parser import parse_set_formula, parse_set_term
+    from mfbridge.tilde import tilde_formula, tilde_term
+    if failure.detail.startswith("formula"):
+        psi = parse_set_formula(failure.subject)
+        img = HatTranslator(FreshNames.for_nodes(psi)).hat(tilde_formula(psi))
+        return not check_equivalence(psi, img, free_vars(psi), U).ok
+    a = parse_set_term(failure.subject)
+    img = HatTranslator(FreshNames.for_nodes(a)).delta(tilde_term(a))
+    lhs = fol.Eq(fol.Var(PLACEHOLDER), a)
+    return not check_equivalence(lhs, img, free_vars(a) | {PLACEHOLDER}, U).ok
+
+
+@pytest.mark.parametrize("plant, longest_median", [(_epsterm_swap, 10.0), (_pairv_drop, 15.5)],
+                         ids=["epsterm-swap", "pairv-drop"])
+def test_planted_translation_bugs_are_caught_and_shrunk(monkeypatch, plant, longest_median):
+    # `longest_median` is the median printed length that the per-sort
+    # subterm shrinker reached on the same sweep; shrinking must not do worse
+    import statistics
+
+    from mfbridge.hf import enumerate_universe
+    plant(monkeypatch)
+    report = check_oneside(GenConfig(seed=20240801, max_depth=3, rank=3, sample_count=60))
+    assert report.failures
+    U = enumerate_universe(3)
+    assert all(_fails_again(f, U) for f in report.failures)
+    assert statistics.median(len(f.subject) for f in report.failures) <= longest_median
 
 
 def test_generator_stream_is_pinned():
@@ -239,7 +379,7 @@ def test_a_sample_over_the_cell_cap_is_regenerated():
 
 def test_the_cell_cap_at_depth_zero_is_an_error():
     from mfbridge.hf import CellCapError
-    from mfbridge.properties import CheckReport, _sampled, _with_depth
+    from mfbridge.properties import CheckReport, _sampled
     report, calls = CheckReport("selftest"), []
 
     def check(f, U):
@@ -247,5 +387,5 @@ def test_the_cell_cap_at_depth_zero_is_an_error():
         raise CellCapError("sweep grid over 7 variables exceeds the cell cap")
 
     with pytest.raises(CellCapError):
-        _sampled(GenConfig(seed=0, max_depth=2), _with_depth(gen_set_formula), check, report, 1)
+        _sampled(GenConfig(seed=0, max_depth=2), DRAWS[fol.SetFormula][0], check, report, 1)
     assert len(calls) == 3 and report.regenerated == 2  # at depths 2, 1 and 0
