@@ -108,16 +108,27 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _is_variable(name: str) -> bool:
+    """Whether the set-language parser reads `name` as a variable."""
+    try:
+        return parse_set_term(name) == fol.Var(name)
+    except ParseError:
+        return False
+
+
 def cmd_eval(args) -> int:
     node = parse_set(_read(args.file))
     core = fol.elaborate(node)
     U = hf.enumerate_universe(args.rank)
     env = hf.parse_env(args.env or "")
+    strange = [x for x in env if not _is_variable(x)]
+    if strange:
+        raise ValueError(f"--env name {strange[0]!r} is not a variable name")
     missing = free_vars(core) - set(env)
     if missing:
         print(f"environment misses variables: {', '.join(sorted(missing))}", file=sys.stderr)
         return 2
-    outside = sorted(x for x, v in env.items() if v.rank > U.k)
+    outside = sorted(x for x, v in env.items() if hf.rank(v) > U.k)
     if outside:
         print(f"environment values outside V_{U.k}: {', '.join(outside)}", file=sys.stderr)
         return 2
@@ -130,11 +141,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_CHECK_DEFAULTS = {"samples": 500, "rank": 3, "depth": 3, "omega": False}
+_UNREAD = {"axioms": ("samples", "depth", "omega"), "freevars": ("rank",)}  # by each property
+
+
 def cmd_check(args) -> int:
+    given = {k for k in _CHECK_DEFAULTS if getattr(args, k) is not None}
+    for k in _CHECK_DEFAULTS.keys() - given:
+        setattr(args, k, _CHECK_DEFAULTS[k])
     for flag, value, least in (("--samples", args.samples, 1), ("--depth", args.depth, 0)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     hf.enumerate_universe(args.rank)  # refuses a rank outside 0..3, even where nothing sweeps
+    unread = [k for k in _UNREAD.get(args.property, ()) if k in given]
+    if unread:
+        raise ValueError(f"--{unread[0]} is not read by --property {args.property}")
     cfg = properties.GenConfig(seed=args.seed, max_depth=args.depth, rank=args.rank,
                                omega_allowed=args.omega, sample_count=args.samples)
     report = properties.CHECKS[args.property](cfg)
@@ -237,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a seeded property sweep")
     p.add_argument("--property", required=True, choices=sorted(properties.CHECKS))
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--omega", action="store_true")
+    # defaults in _CHECK_DEFAULTS, so that cmd_check sees which were given
+    p.add_argument("--samples", type=int)
+    p.add_argument("--rank", type=int)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--omega", action="store_true", default=None)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("sigma", help="check a bounded-class derivation and erase its bounds")

@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass, replace
 
 from . import hf
-from .core import FreshNames, Node, alpha_eq, free_vars, normalize_binders, subst1
+from .core import FreshNames, Node, alpha_eq_under, free_vars, normalize_binders
 from .hf import Env, SweepReport, _sweep_arrays, check_valid, enumerate_universe
 from .set_syntax import (And, Bot, Eq, Exists, ExistsUnique, Forall, Imp, Mem,
                          Or, SetFormula, Var, elaborate, is_delta0)
@@ -140,20 +140,23 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
             "root", f"free variables {sorted(loose)} of the formula are not free in gamma"))
     obligations: list[Obligation] = []
     seen_z: set[str] = set()
-    fresh = FreshNames.for_nodes(phi, gamma, d)
 
-    def go(phi: SetFormula, d: K0Node, path: str, bound: frozenset = frozenset()) -> Mismatch | None:
+    # `pairs` lists (phi's binder, d's binder) of the enclosing steps, so
+    # phi is compared with d up to the names of those binders
+    def go(phi: SetFormula, d: K0Node, path: str, bound: frozenset = frozenset(),
+           pairs: tuple = ()) -> Mismatch | None:
         match d:
             case K0Atom(a):
                 if not _atom_ok(a):
                     return Mismatch(path, "atoms must be falsum or equality/membership of variables")
-                if not alpha_eq(phi, a):
+                if not alpha_eq_under(phi, a, pairs):
                     return Mismatch(path, "formula does not match the atom certificate")
                 return None
             case K0Conn(kind, l, r):
                 if not isinstance(phi, _CONN[kind]):
                     return Mismatch(path, f"expected a {kind} connective")
-                return go(phi.left, l, path + ".left", bound) or go(phi.right, r, path + ".right", bound)
+                return (go(phi.left, l, path + ".left", bound, pairs)
+                        or go(phi.right, r, path + ".right", bound, pairs))
             case K0Bounded(kind, z, delta, y, body):
                 if z in seen_z:
                     return Mismatch(path, f"bound witness variable {z!r} reused")
@@ -170,27 +173,22 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
                 seen_z.add(z)
                 if not isinstance(phi, Exists):
                     return Mismatch(path, "expected an existential over the witness variable")
-                if phi.binder != z:
-                    if z in free_vars(phi.body):
-                        return Mismatch(path, f"cannot align binder: {z!r} already occurs")
-                    phi = Exists(z, _rename(phi.body, phi.binder, z, fresh))
+                pairs += ((phi.binder, z),)
                 if not isinstance(phi.body, And):
                     return Mismatch(path, "expected (witness /\\ rest) under the existential")
                 dl, rest = phi.body.left, phi.body.right
-                if not alpha_eq(dl, delta):
+                if not alpha_eq_under(dl, delta, pairs):
                     return Mismatch(path, "witness formula differs from the certificate")
                 obligations.append(_make_obligation(gamma, z, delta))
                 if kind == "plain":
-                    return go(rest, body, path + ".body", bound)
+                    return go(rest, body, path + ".body", bound, pairs)
                 quant, conn, noun, shape = _BOUNDED[kind]
                 if not isinstance(rest, quant):
                     return Mismatch(path, f"expected a bounded {noun}")
-                if rest.binder != y:
-                    if y in free_vars(rest.body):
-                        return Mismatch(path, f"cannot align binder: {y!r} already occurs")
-                    rest = quant(y, _rename(rest.body, rest.binder, y, fresh))
-                if isinstance(rest.body, conn) and rest.body.left == Mem(Var(y), Var(z)):
-                    return go(rest.body.right, body, path + ".body", bound | {y})
+                pairs += ((rest.binder, y),)
+                guard = Mem(Var(y), Var(z))
+                if isinstance(rest.body, conn) and alpha_eq_under(rest.body.left, guard, pairs):
+                    return go(rest.body.right, body, path + ".body", bound | {y}, pairs)
                 return Mismatch(path, f"bounded {noun} must have shape {shape}")
             case _:
                 return Mismatch(path, f"not a derivation node: {d!r}")
@@ -199,10 +197,6 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
     if mism:
         return ReconstructResult(False, mismatch=mism)
     return ReconstructResult(True, obligations=tuple(obligations))
-
-
-def _rename(f: SetFormula, old: str, new: str, fresh: FreshNames) -> SetFormula:
-    return subst1(f, old, Var(new), fresh)
 
 
 def _make_obligation(gamma: SetFormula, z: str, delta: SetFormula) -> Obligation:
@@ -316,6 +310,6 @@ def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementR
         return AgreementReport(True, int(counted.sum()), int(skip.sum()))
     i = int(differ.argmax())
     cell = hf.np.unravel_index(i, g_tr.shape)
-    env = {x: U.elements[c] for x, c in zip(gvars, cell)}
-    env.update((z, U.elements[w[cell]]) for z, (_, w) in pinned.items())
+    env = {x: int(c) for x, c in zip(gvars, cell)}
+    env.update((z, int(w[cell])) for z, (_, w) in pinned.items())
     return AgreementReport(False, int(counted[:i + 1].sum()), int(skip[:i + 1].sum()), env)

@@ -1,24 +1,29 @@
 """Brute-force semantic oracle over rank-bounded hereditarily finite sets.
 
+An HF set is its Ackermann code, a plain int: x is a member of s iff bit x
+of s is set, so {} = 0, {{}} = 1, {{{}}} = 2, {{},{{}}} = 3.  Listing V_k by
+code lists it in order of rank, so V_k is exactly the codes 0 .. |V_k| - 1;
+`members`, `make_hf` and `rank` decode, build and measure a set.
+
 Classical Tarskian semantics; quantifiers range over the whole universe.
 Values that would exceed the rank bound raise Overflow, which the sweep
 drivers treat as "skip this environment" (the logic itself stays two-valued).
 
-Term evaluation is three-valued at the harness level: a value, BIG (the true
+Term evaluation is three-valued at the harness level: a code, BIG (the true
 value definitely has rank above the bound, e.g. a pair of two in-universe
 sets that is one rank too high), or UNKNOWN (the value could not be
-determined, e.g. a separation whose body was undecidable).  Atoms decide
-wherever soundness allows: equality against a BIG value is false unless both
-sides are BIG; a BIG value is never a member of an in-universe one.  Without
-this the pair-building existential inside the list-length abbreviation would
+determined, e.g. a separation whose body was undecidable).  BIG and UNKNOWN
+are the negative ints -1 and -2 in both engines.  Atoms decide wherever
+soundness allows: equality against a BIG value is false unless both sides
+are BIG; a BIG value is never a member of an in-universe one.  Without this
+the pair-building existential inside the list-length abbreviation would
 overflow in every environment.  Everything else propagates Overflow, and
 evaluation never short-circuits, so overflow behaves identically in both
 evaluation engines.
 
 Two independent engines are provided and cross-checked in the test suite:
 
-  * a vectorized sweep engine, which exploits the fact that a full universe
-    V_k enumerated in Ackermann order has element index == Ackermann code, so
+  * a vectorized sweep engine: as an element's index is its code,
     membership and the term constructors become table lookups.  The tables
     are array expressions over the codes (i is a member of j iff bit i of j
     is set), and a separation is a gather of its bound's membership row
@@ -26,11 +31,12 @@ Two independent engines are provided and cross-checked in the test suite:
     members, so no step loops over cells in Python.  It is the one engine
     every command runs on: check_valid / check_equivalence (the property
     sweeps and obligation discharge), the k0 agreement check, which pins
-    each witness variable to an index array over gamma's grid, and
+    each witness variable to a code array over gamma's grid, and
     `evaluate` (`mfbridge eval`), one sweep with every free variable
     pinned to its value.  Its tables are n x n, so ranks stop at MAX_RANK;
-  * eval_term / eval_formula — plain recursion on canonical HFSet values,
-    reference-only: the differential tests and the benchmark's checks.
+  * eval_term / eval_formula — plain recursion on the members of each value,
+    deciding overflow by `rank`, reference-only: the differential tests and
+    the benchmark's checks.  It reads none of the engine's tables or bounds.
 
 A sweep evaluates each structurally distinct subtree once: a pre-pass counts
 each node's requests, and its arrays stay in a memo until the last one.  That
@@ -57,6 +63,9 @@ from .set_syntax import (And, Bot, Empty, Eq, Exists, Forall, Imp, Mem, Omega,
 np = None  # numpy, bound by the first Universe.tables()
 MAX_RANK = 3  # |V_4| = 65,536 would make each n x n table 2^32 cells
 _MAX_CELLS = 20_000_000
+# the two values that are not codes, in both engines
+BIG = -1      # the true value definitely has rank above the bound
+UNKNOWN = -2  # the value could not be determined
 
 
 class Overflow(Exception):
@@ -71,54 +80,38 @@ class CellCapError(ValueError):
     """A sweep grid over the engine's cell cap."""
 
 
-@dataclass(frozen=True, eq=False)
-class HFSet:
-    """Canonical hereditarily finite set: children sorted by Ackermann code."""
-    children: tuple["HFSet", ...]
-    code: int
-    rank: int
-
-    def __eq__(self, other):
-        return isinstance(other, HFSet) and self.code == other.code
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def __lt__(self, other):
-        return self.code < other.code
-
-    def __repr__(self):
-        return f"HFSet({print_hf(self)})"
-
-    def has_member(self, x: "HFSet") -> bool:
-        return any(c.code == x.code for c in self.children)
+def make_hf(xs) -> int:
+    """The set whose members are the codes `xs`."""
+    return sum(1 << c for c in set(xs))
 
 
-def make_hf(children) -> HFSet:
-    uniq: dict[int, HFSet] = {}
-    for c in children:
-        uniq[c.code] = c
-    kids = tuple(sorted(uniq.values()))
-    code = sum(1 << c.code for c in kids)
-    rank = 1 + max((c.rank for c in kids), default=-1)
-    return HFSet(kids, code, rank)
+def members(s: int) -> list[int]:
+    """The codes of s's members, ascending: the positions of its set bits."""
+    return [i for i in range(s.bit_length()) if s >> i & 1]
 
 
-EMPTY = make_hf(())
+@lru_cache(maxsize=None)
+def rank(s: int) -> int:
+    """1 + the largest rank of a member; 0 for the empty set."""
+    return 1 + max(map(rank, members(s)), default=-1)
 
 
-def nat(n: int) -> HFSet:
+EMPTY = 0
+
+
+def nat(n: int) -> int:
+    """The von Neumann natural n: n+1 = n | {n}."""
     s = EMPTY
     for _ in range(n):
-        s = make_hf(s.children + (s,))
+        s |= 1 << s
     return s
 
 
-def print_hf(s: HFSet) -> str:
-    return "{" + ",".join(print_hf(c) for c in s.children) + "}"
+def print_hf(s: int) -> str:
+    return "{" + ",".join(print_hf(c) for c in members(s)) + "}"
 
 
-def parse_hf(text: str) -> HFSet:
+def parse_hf(text: str) -> int:
     """Read a set literal such as {{},{{}}}.  A literal of rank above MAX_RANK
     lies outside every universe a command sweeps, and its Ackermann code grows
     as a tower of exponentials in the rank, so it is refused while being read."""
@@ -128,7 +121,7 @@ def parse_hf(text: str) -> HFSet:
     return s
 
 
-def _parse_hf(text: str, levels: int) -> tuple[HFSet, str]:
+def _parse_hf(text: str, levels: int) -> tuple[int, str]:
     text = text.lstrip()
     if not text.startswith("{"):
         raise ValueError(f"expected '{{' in set literal at {text[:20]!r}")
@@ -148,9 +141,9 @@ def _parse_hf(text: str, levels: int) -> tuple[HFSet, str]:
     return make_hf(kids), text[1:]
 
 
-def parse_env(text: str) -> dict[str, HFSet]:
+def parse_env(text: str) -> dict[str, int]:
     """Parse an environment literal like "x={},y={{}}"."""
-    env: dict[str, HFSet] = {}
+    env: dict[str, int] = {}
     if not text.strip():
         return env
     parts, depth, cur = [], 0, []
@@ -177,32 +170,30 @@ def parse_env(text: str) -> dict[str, HFSet]:
 
 
 class Universe:
-    """All HF sets of rank <= k, in Ackermann order (index == code)."""
+    """All HF sets of rank <= k, by code: V_{k+1} is every subset of V_k,
+    so V_k's codes are 0 .. n-1 with n = 1, 2, 4, 16 for k = 0 .. 3."""
 
     def __init__(self, k: int):
         if not 0 <= k <= MAX_RANK:
             raise ValueError(f"rank {k} outside 0..{MAX_RANK}")
         self.k = k
-        level = [EMPTY]
+        n = 1
         for _ in range(k):
-            # code c's members are the sets whose codes are c's bits; codes
-            # grow with rank, so the last member has the largest rank
-            level = [HFSet(kids := tuple(s for s in level if c >> s.code & 1), c,
-                           kids[-1].rank + 1 if kids else 0) for c in range(1 << len(level))]
-        self.elements: list[HFSet] = level
+            n = 1 << n
+        self.elements = range(n)
         self.omega = make_hf(nat(i) for i in range(k))
         self._tables = None
 
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, s: HFSet) -> int:
-        if s.code >= len(self.elements):
-            raise Overflow(f"value of rank {s.rank} not in V_{self.k}")
-        return s.code
+    def index_of(self, s: int) -> int:
+        if s >= len(self.elements):
+            raise Overflow(f"value of rank {rank(s)} not in V_{self.k}")
+        return s
 
     def tables(self):
-        """(mem, pair, union, pow) as index tables over codes; -1 = escapes V_k."""
+        """(mem, pair, union, pow) as tables over codes; BIG = escapes V_k."""
         global np
         if self._tables is None:
             import numpy as np
@@ -214,7 +205,7 @@ class Universe:
             union = np.bitwise_or.reduce(np.where(mem, code[:, None], 0), axis=0)
             subset = (code[:, None] & code[None, :]) == code[:, None]  # s within i
             pw = np.where(subset, bit[:, None], 0).sum(axis=0)
-            self._tables = (mem, np.where(pair < n, pair, -1), union, np.where(pw < n, pw, -1))
+            self._tables = (mem, np.where(pair < n, pair, BIG), union, np.where(pw < n, pw, BIG))
         return self._tables
 
 
@@ -223,22 +214,10 @@ def enumerate_universe(k: int) -> Universe:
     return Universe(k)
 
 
-Env = dict[str, HFSet]
+Env = dict[str, int]
 
 
 # -- reference recursive evaluator ---------------------------------------------
-
-class _Marker:
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __repr__(self):
-        return self.tag
-
-
-BIG = _Marker("BIG")          # true value definitely of rank above the bound
-UNKNOWN = _Marker("UNKNOWN")  # value undetermined
-
 
 def _eval(t: SetTerm, env: Env, U: Universe, strict: bool = False):
     match t:
@@ -253,37 +232,33 @@ def _eval(t: SetTerm, env: Env, U: Universe, strict: bool = False):
             return U.omega
         case Pair(a, b):
             va, vb = _eval(a, env, U, strict), _eval(b, env, U, strict)
-            if va is BIG or vb is BIG:
+            if BIG in (va, vb):
                 return BIG  # a pair with a too-big member is itself too big
-            if va is UNKNOWN or vb is UNKNOWN:
+            if UNKNOWN in (va, vb):
                 return UNKNOWN
-            if max(va.rank, vb.rank) + 1 > U.k:
+            if max(rank(va), rank(vb)) + 1 > U.k:
                 return BIG
             return make_hf((va, vb))
         case Union(a):
             va = _eval(a, env, U, strict)
-            if va is BIG or va is UNKNOWN:
+            if va < 0:
                 return UNKNOWN  # a union can drop back below the bound
-            return make_hf(c for m in va.children for c in m.children)
+            return make_hf(c for m in members(va) for c in members(m))
         case Pow(a):
             va = _eval(a, env, U, strict)
-            if va is BIG:
+            if va < 0:
+                return va
+            if rank(va) + 1 > U.k:
                 return BIG
-            if va is UNKNOWN:
-                return UNKNOWN
-            if (va.rank + 1 if va.children else 1) > U.k:
-                return BIG
-            subs = []
-            for r in range(len(va.children) + 1):
-                for comb in itertools.combinations(va.children, r):
-                    subs.append(make_hf(comb))
-            return make_hf(subs)
+            kids = members(va)
+            return make_hf(make_hf(comb) for r in range(len(kids) + 1)
+                           for comb in itertools.combinations(kids, r))
         case Sep(x, bound, body):
             vb = _eval(bound, env, U, strict)
-            if vb is BIG or vb is UNKNOWN:
+            if vb < 0:
                 return UNKNOWN
             kept = []
-            for m in vb.children:
+            for m in members(vb):
                 try:
                     keep = eval_formula(body, {**env, x: m}, U, strict)
                 except Overflow:
@@ -295,11 +270,11 @@ def _eval(t: SetTerm, env: Env, U: Universe, strict: bool = False):
             raise TypeError(f"not a core set term: {t!r}")
 
 
-def eval_term(t: SetTerm, env: Env, U: Universe) -> HFSet:
+def eval_term(t: SetTerm, env: Env, U: Universe) -> int:
     v = _eval(t, env, U)
-    if v is BIG:
+    if v == BIG:
         raise Overflow("value exceeds the rank bound")
-    if v is UNKNOWN:
+    if v == UNKNOWN:
         raise Overflow("value could not be determined within the rank bound")
     return v
 
@@ -312,22 +287,18 @@ def eval_formula(f: SetFormula, env: Env, U: Universe, strict: bool = False) -> 
             return False
         case Eq(a, b):
             va, vb = _eval(a, env, U, strict), _eval(b, env, U, strict)
-            if strict and (va is BIG or vb is BIG or va is UNKNOWN or vb is UNKNOWN):
+            if strict and (va < 0 or vb < 0):
                 raise Overflow("value escapes the rank bound")
-            if va is UNKNOWN or vb is UNKNOWN or (va is BIG and vb is BIG):
+            if UNKNOWN in (va, vb) or va == vb == BIG:
                 raise Overflow("equality undetermined at this rank")
-            if va is BIG or vb is BIG:
-                return False
             return va == vb
         case Mem(a, b):
             va, vb = _eval(a, env, U, strict), _eval(b, env, U, strict)
-            if strict and (va is BIG or vb is BIG or va is UNKNOWN or vb is UNKNOWN):
+            if strict and (va < 0 or vb < 0):
                 raise Overflow("value escapes the rank bound")
-            if vb is BIG or vb is UNKNOWN or va is UNKNOWN:
+            if vb < 0 or va == UNKNOWN:
                 raise Overflow("membership undetermined at this rank")
-            if va is BIG:
-                return False
-            return vb.has_member(va)
+            return va != BIG and va in members(vb)
         case And(l, r):
             vl, vr = eval_formula(l, env, U, strict), eval_formula(r, env, U, strict)
             return vl and vr
@@ -350,7 +321,7 @@ def eval_formula(f: SetFormula, env: Env, U: Universe, strict: bool = False) -> 
 # -- vectorized sweep engine ----------------------------------------------------
 #
 # A term denotes an integer array over the grid of its free variables (entry =
-# element index, -1 = overflow); a formula denotes a (truth, overflow) pair of
+# code, or BIG or UNKNOWN); a formula denotes a (truth, overflow) pair of
 # boolean arrays.  Dimension name tuples are kept sorted, so an array's axes
 # always appear in the same order as any enclosing grid's.
 
@@ -376,7 +347,7 @@ def _join(n: int, *dimsets) -> tuple[str, ...]:
 
 
 class _SweepEngine:
-    # `pinned` maps a name to a fixed (dims, index array) value; no binder in
+    # `pinned` maps a name to a fixed (dims, code array) value; no binder in
     # the swept formula may reuse a pinned name or one of its dims
     def __init__(self, U: Universe, strict: bool = False, pinned=None):
         self.U = U
@@ -424,19 +395,19 @@ class _SweepEngine:
             case Empty():
                 return (), np.full((), 0, dtype=np.int64)
             case Omega():
-                return (), np.full((), self.U.index_of(self.U.omega), dtype=np.int64)
+                return (), np.full((), self.U.omega, dtype=np.int64)
             case Pair(a, b):
                 dims, va, vb = self._terms(a, b)
                 out = self.pair[np.maximum(va, 0), np.maximum(vb, 0)]
-                out = np.where((va == -2) | (vb == -2), -2, out)
-                return dims, np.where((va == -1) | (vb == -1), -1, out)
+                out = np.where((va == UNKNOWN) | (vb == UNKNOWN), UNKNOWN, out)
+                return dims, np.where((va == BIG) | (vb == BIG), BIG, out)
             case Union(a):
                 da, va = self.term(a)
-                return da, np.where(va < 0, -2, self.union[np.maximum(va, 0)])
+                return da, np.where(va < 0, UNKNOWN, self.union[np.maximum(va, 0)])
             case Pow(a):
                 da, va = self.term(a)
-                out = np.where(va == -2, -2, self.pow[np.maximum(va, 0)])
-                return da, np.where(va == -1, -1, out)
+                out = np.where(va == UNKNOWN, UNKNOWN, self.pow[np.maximum(va, 0)])
+                return da, np.where(va == BIG, BIG, out)
             case Sep(x, bound, body):
                 return self._sep(x, bound, body)
             case _:
@@ -459,7 +430,7 @@ class _SweepEngine:
         inb = np.moveaxis(self.mem[:, np.maximum(B, 0)], 0, xpos)
         bad = (B < 0) | (inb & _expand(df, ov, full)).any(axis=xpos)
         code = np.moveaxis(inb & _expand(df, tr, full), xpos, -1) @ (1 << np.arange(self.n))
-        return out_dims, np.where(bad, -2, code)
+        return out_dims, np.where(bad, UNKNOWN, code)
 
     def _formula(self, f: SetFormula):
         match f:
@@ -470,7 +441,7 @@ class _SweepEngine:
                 if self.strict:
                     ov = (va < 0) | (vb < 0)
                 else:
-                    ov = (va == -2) | (vb == -2) | ((va == -1) & (vb == -1))
+                    ov = (va == UNKNOWN) | (vb == UNKNOWN) | ((va == BIG) & (vb == BIG))
                 return dims, (va == vb) & (va >= 0), ov
             case Mem(a, b):
                 dims, va, vb = self._terms(a, b)
@@ -478,7 +449,7 @@ class _SweepEngine:
                 if self.strict:
                     ov = (va < 0) | (vb < 0)
                 else:
-                    ov = (vb < 0) | (va == -2)
+                    ov = (vb < 0) | (va == UNKNOWN)
                 return dims, tr & (va >= 0) & (vb >= 0), ov
             case And(l, r) | Or(l, r) | Imp(l, r):
                 dl, tl, ol = self.formula(l)
@@ -530,11 +501,11 @@ def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
     return full, tr, ov
 
 
-def _report(bad: np.ndarray, skip: np.ndarray, full: tuple[str, ...], U: Universe) -> SweepReport:
+def _report(bad: np.ndarray, skip: np.ndarray, full: tuple[str, ...]) -> SweepReport:
     """The first bad cell (in grid order) is the counterexample."""
     cex = None
     if bad.any():
-        cex = {v: U.elements[i] for v, i in zip(full, np.argwhere(bad)[0])}
+        cex = {v: int(i) for v, i in zip(full, np.argwhere(bad)[0])}
     return SweepReport(cex is None, cex, int(skip.sum()), bad.size)
 
 
@@ -542,11 +513,11 @@ def check_valid(f: SetFormula, variables, U: Universe,
                 strict: bool = False) -> SweepReport:
     """True in every environment over `variables` that does not overflow."""
     full, tr, ov = _sweep_arrays(f, variables, U, strict)
-    return _report(~tr & ~ov, ov, full, U)
+    return _report(~tr & ~ov, ov, full)
 
 
 def evaluate(node, env: Env, U: Universe):
-    """A core formula's truth value or a core term's HFSet in `env`, as one
+    """A core formula's truth value or a core term's code in `env`, as one
     sweep with each free variable pinned; Overflow when it escapes V_k or
     cannot be determined.  A term t is swept as u = t over a fresh u."""
     fresh = FreshNames.for_nodes(node)
@@ -564,7 +535,7 @@ def evaluate(node, env: Env, U: Universe):
         raise Overflow("value could not be determined within the rank bound")
     if not tr.any():
         raise Overflow("value exceeds the rank bound")
-    return U.elements[int(tr.argmax())]
+    return int(tr.argmax())
 
 
 def check_equivalence(f: SetFormula, g: SetFormula, variables, U: Universe) -> SweepReport:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import random
 import re
+import string
 import subprocess
 import sys
 import time
@@ -104,6 +105,14 @@ def test_eval_missing_env(tmp_path, capsys):
     assert code == 2 and "misses" in err
 
 
+@pytest.mark.parametrize("name", ["", "x y", "all"])
+@pytest.mark.parametrize("text", ["empty = empty", "x = x"])
+def test_eval_refuses_an_env_name_that_is_not_a_variable(tmp_path, capsys, name, text):
+    f = _write(tmp_path, "a.fm", text)
+    code, out, err = run(capsys, "eval", "--env", f"{name}={{}}", f)
+    assert (code, out, err) == (2, "", f"error: --env name {name!r} is not a variable name\n")
+
+
 def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "--property", "oneside",
                        "--seed", "7", "--samples", "50", "--rank", "3")
@@ -126,6 +135,17 @@ def test_check_rejects_out_of_contract_counts(capsys):
         code, out, err = run(capsys, "check", "--property", "freevars", "--samples", "3",
                              "--rank", value)
         assert (code, out, err) == (2, "", f"error: rank {value} outside 0..3\n")
+
+
+def test_check_refuses_an_option_the_property_does_not_read(capsys):
+    for prop, argv in (("axioms", ("--samples", "5")), ("axioms", ("--depth", "1")),
+                       ("axioms", ("--omega",)), ("freevars", ("--rank", "2"))):
+        code, out, err = run(capsys, "check", "--property", prop, *argv)
+        assert (code, out, err) == (2, "", f"error: {argv[0]} is not read by --property {prop}\n")
+    # --seed stays accepted with every property: the benchmark's cli case
+    # (perfbench/cli_cases.py) passes it to axioms
+    code, out, _ = run(capsys, "check", "--property", "axioms", "--rank", "2", "--seed", "9")
+    assert code == 0 and out.startswith("property axioms: ok (8 samples")
 
 
 def test_check_deterministic_output(capsys):
@@ -390,10 +410,10 @@ def test_malformed_seed_env_is_a_usage_error_of_check_only(tmp_path, capsys, mon
     monkeypatch.setenv("MF_BRIDGE_SEED", "abc")
     f = _write(tmp_path, "a.fm", "x = x")
     assert run(capsys, "parse", f) == (0, "x = x\n", "")
-    code, out, _ = run(capsys, "check", "--property", "axioms", "--seed", "3", "--samples", "2")
+    code, out, _ = run(capsys, "check", "--property", "axioms", "--seed", "3", "--rank", "2")
     assert code == 0 and out.startswith("property axioms: ok")
     with pytest.raises(SystemExit) as e:
-        main(["check", "--property", "axioms", "--samples", "2"])
+        main(["check", "--property", "axioms", "--rank", "2"])
     assert e.value.code == 2
     assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
@@ -438,7 +458,7 @@ def test_numpy_loads_at_the_first_sweep_only(tmp_path):
     assert unloaded == []  # `import mfbridge.cli` loads every module
     assert seen == [["parse", 0, False], ["translate", 0, False], ["classify", 0, False],
                     ["rules", 0, False], ["rules", 0, False], ["eval", 2, False], ["eval", 0, True]]
-    _, seen = _numpy_after(("check", "--property", "axioms", "--samples", "2"))
+    _, seen = _numpy_after(("check", "--property", "axioms", "--rank", "2"))
     assert seen == [["check", 0, True]]
 
 
@@ -541,3 +561,55 @@ def test_fuzz_cli_ends_in_an_exit_code(tmp_path, capsys):
         if code not in (0, 1, 2) or (code == 2 and len(err.splitlines()) != 1):
             bad.append((argv[0], texts, code, err))
     assert not bad, f"{len(bad)} of {FUZZ_RUNS} inputs: {bad[:5]}"
+
+
+# -- seeded fuzz with random text, not only mutants of valid input -----------------
+
+RANDOM_RUNS = 600
+# words of the grammars and the s-expression files, so that random text gets
+# past the tokenizer often enough to reach the later stages
+_WORDS = ("all", "ex", "ex!", "in", "sub", "not", "false", "true", "empty", "omega", "Pow",
+          "Un", "sing", "op", "p1", "lam", "eps", "V", "N1", "star", "prop", "col", "K0Atom",
+          "K0Conn", "K0Bounded", "existsIn", "forallIn", "plain", "and", "Var", "Mem", "Eq",
+          "instance", "flavor", "czf", "premises", "conclusion", "elem", "emptyv",
+          "(", ")", "{", "}", "[", "]", ".", ",", "=", "|", ":", "->", "<->", "/\\", "\\/",
+          "_", "x", "y", "z", "u", "v#1", "0", "1", "2")
+
+
+def _random_text(rng) -> str:
+    """Words and runs of printable characters, at random."""
+    return " ".join(rng.choice(_WORDS) if rng.random() < 0.7
+                    else "".join(rng.choices(string.printable, k=rng.randint(1, 3)))
+                    for _ in range(rng.randrange(16)))
+
+
+def test_fuzz_cli_random_text_ends_in_an_exit_code(tmp_path, capsys):
+    # random text in place of one input file of every subcommand that reads
+    # one, and random --env strings to eval: each ends in exit 0, 1 or 2,
+    # never in an exception, and an exit 2 prints one line on stderr
+    rng = random.Random(1)
+    corpus = _fuzz_corpus()
+    set_file = _write(tmp_path, "set", "x = y /\\ z in x")
+    env_words = ("x", "y", "z", "all", "=", ",", "{", "}", "{}", "{{}}", "#")
+    bad = []
+    for _ in range(RANDOM_RUNS):
+        if rng.random() < 0.2:
+            env = "".join(rng.choice(env_words) if rng.random() < 0.8
+                          else rng.choice(string.printable) for _ in range(rng.randrange(12)))
+            # one word, so that an env starting with '-' is not read as an option
+            argv = ["eval", "--rank", str(rng.randrange(4)), f"--env={env}", set_file]
+            texts = [env]
+        else:
+            kind = rng.choice(sorted(corpus))
+            texts = list(rng.choice(corpus[kind]))
+            texts[rng.randrange(len(texts))] = _random_text(rng)
+            paths = [_write(tmp_path, f"in{i}", t) for i, t in enumerate(texts)]
+            argv = [paths[a] if isinstance(a, int) else a for a in rng.choice(_FUZZ_COMMANDS[kind])]
+        try:
+            code, out, err = run(capsys, *argv)
+        except Exception as e:
+            bad.append((argv[0], texts, f"{type(e).__name__}: {e}"))
+            continue
+        if code not in (0, 1, 2) or (code == 2 and len(err.splitlines()) != 1):
+            bad.append((argv[0], texts, code, err))
+    assert not bad, f"{len(bad)} of {RANDOM_RUNS} inputs: {bad[:5]}"

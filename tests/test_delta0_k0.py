@@ -9,7 +9,7 @@ from mfbridge import delta0_k0, sexp
 from mfbridge.cli import K0_REGISTRY
 from mfbridge.core import alpha_eq, free_vars
 from mfbridge.delta0_k0 import (AgreementReport, K0Atom, K0Bounded, K0Conn,
-                                SigmaError, check_separation_lemma,
+                                Mismatch, SigmaError, check_separation_lemma,
                                 check_sigma_agreement, derived_formula,
                                 discharge_obligations, k0_reconstruct, sigma)
 from mfbridge.hf import Overflow, enumerate_universe, eval_formula
@@ -109,7 +109,7 @@ def test_bounded_step_mismatch_reasons():
     d = K0Bounded("existsIn", "z", delta, "v", K0Atom(body))
     res = k0_reconstruct(Exists("z", And(delta, Exists("u", And(Mem(Var("u"), Var("z")), Eq(
         Var("u"), Var("v")))))), gamma, d)
-    assert res.mismatch.reason == "cannot align binder: 'v' already occurs"
+    assert res.mismatch == Mismatch("root.body", "formula does not match the atom certificate")
     # an unknown kind is refused when the node is built, before any check runs
     with pytest.raises(ValueError, match="^unknown bounded-step kind 'bogus'$"):
         K0Bounded("bogus", "z", delta, "y", K0Atom(body))

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from mfbridge import hf
 from mfbridge.core import all_names, free_vars, subst1, walk
 from mfbridge.hf import (EMPTY, EvalError, Overflow, check_equivalence, check_valid,
-                         enumerate_universe, eval_formula, eval_term, evaluate, make_hf, nat,
-                         parse_env, parse_hf, print_hf, standard_axioms)
+                         enumerate_universe, eval_formula, eval_term, evaluate, make_hf,
+                         members, nat, parse_env, parse_hf, print_hf, rank, standard_axioms)
 from mfbridge.parser import parse_set, parse_set_formula, parse_set_term
 from mfbridge.set_syntax import (And, Bot, Empty, Eq, Forall, Imp, Mem, Omega, Pair,
                                  Pow, Sep, SetTerm, Union, Var, elaborate)
@@ -33,15 +33,15 @@ def test_tables_match_hf_operations():
     for k in range(4):
         U = enumerate_universe(k)
         mem, pair, union, pw = U.tables()
-        code = lambda s: s.code if s.code < len(U) else -1
+        code = lambda s: s if s < len(U) else -1
         for a in U.elements:
-            assert union[a.code] == make_hf(c for m in a.children for c in m.children).code
-            subsets = [make_hf(comb) for r in range(len(a.children) + 1)
-                       for comb in itertools.combinations(a.children, r)]
-            assert pw[a.code] == code(make_hf(subsets))
+            assert union[a] == make_hf(c for m in members(a) for c in members(m))
+            subsets = [make_hf(comb) for r in range(len(members(a)) + 1)
+                       for comb in itertools.combinations(members(a), r)]
+            assert pw[a] == code(make_hf(subsets))
             for b in U.elements:
-                assert mem[a.code, b.code] == b.has_member(a)
-                assert pair[a.code, b.code] == code(make_hf((a, b)))
+                assert mem[a, b] == (a in members(b))
+                assert pair[a, b] == code(make_hf((a, b)))
 
 
 def test_cell_cap_is_a_usage_error():
@@ -55,13 +55,28 @@ def test_cell_cap_is_a_usage_error():
 def test_canonical_construction_order_independent():
     a = make_hf([nat(2), nat(0), nat(1)])
     b = make_hf([nat(1), nat(2), nat(0), nat(0)])
-    assert a == b and a.code == b.code and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b) and members(a) == [nat(0), nat(1), nat(2)]
 
 
 def test_rank_values():
-    assert EMPTY.rank == 0
-    assert nat(3).rank == 3
+    assert rank(EMPTY) == 0
+    assert rank(nat(3)) == 3
     assert enumerate_universe(3).omega == make_hf([nat(0), nat(1), nat(2)])
+
+
+def test_codes_are_the_sets():
+    # V_k is exactly the codes below |V_k|, so the universe's bound check on
+    # a code agrees with the structural rank; and a code is its member list
+    sizes = [len(enumerate_universe(k)) for k in range(4)]
+    for s in range(2 ** 16):
+        assert [rank(s) <= k for k in range(4)] == [s < n for n in sizes], s
+        assert make_hf(members(s)) == s
+    for k, n in enumerate(sizes):
+        assert enumerate_universe(k).index_of(n - 1) == n - 1
+        with pytest.raises(Overflow, match=f"^value of rank {k + 1} not in V_{k}$"):
+            enumerate_universe(k).index_of(n)
+    for s in enumerate_universe(3).elements:
+        assert parse_hf(print_hf(s)) == s
 
 
 def test_hf_literal_round_trip():
@@ -108,7 +123,7 @@ def test_big_value_decides_atoms():
     U = enumerate_universe(3)
     big = Pair(Var("x"), Var("y"))  # rank 4 when either argument has rank 3
     env = {"x": U.elements[8], "y": EMPTY}  # element 8 has rank 3
-    assert U.elements[8].rank == 3
+    assert rank(U.elements[8]) == 3
     assert eval_formula(Eq(big, Empty()), env, U) is False
     assert eval_formula(Mem(big, Var("x")), env, U) is False
     with pytest.raises(Overflow):
@@ -319,4 +334,4 @@ def test_check_equivalence_matches_two_separate_sweeps(seed):
         full, t1, o1 = hf._sweep_arrays(a, variables, U)
         _, t2, o2 = hf._sweep_arrays(b, variables, U)
         skip = o1 | o2
-        assert check_equivalence(a, b, variables, U) == hf._report((t1 != t2) & ~skip, skip, full, U)
+        assert check_equivalence(a, b, variables, U) == hf._report((t1 != t2) & ~skip, skip, full)
