@@ -124,6 +124,9 @@ def cmd_eval(args) -> int:
     strange = [x for x in env if not _is_variable(x)]
     if strange:
         raise ValueError(f"--env name {strange[0]!r} is not a variable name")
+    unused = [x for x in env if x not in free_vars(core)]
+    if unused:
+        raise ValueError(f"--env name {unused[0]!r} is not free in the input")
     missing = free_vars(core) - set(env)
     if missing:
         print(f"environment misses variables: {', '.join(sorted(missing))}", file=sys.stderr)

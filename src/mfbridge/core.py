@@ -225,7 +225,7 @@ def _subst(node: Node, mapping: dict[str, Node], fresh: FreshNames) -> Node:
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
-    return _alpha(a, b, {}, {}, 0)
+    return a is b or _alpha(a, b, {}, {}, 0)
 
 
 def alpha_eq_under(a: Node, b: Node, pairs) -> bool:

@@ -366,24 +366,19 @@ def check_substitution(cfg: GenConfig) -> CheckReport:
         tr = HatTranslator(FreshNames.for_nodes(t, a, A, phi))
         v = tr.fresh("v")
         dt_v = fol.subst_set(tr.delta(t), PLACEHOLDER, fol.Var(v), tr.fresh)
-        total = None
+        reps = []
         for node, trans in ((a, "delta"), (A, "eta"), (phi, "hat")):
             f = getattr(tr, trans)
             subbed = f(pre.subst_emtt(node, x, t, tr.fresh))
             image = fol.subst_set(f(node), x, fol.Var(v), tr.fresh)
             iff = fol.And(fol.Imp(subbed, image), fol.Imp(image, subbed))
             claim = fol.Imp(dt_v, iff)
-            rep = check_valid(claim, free_vars(claim), U)
-            if total is None:
-                total = rep
-            else:
-                total = SweepReport(total.ok and rep.ok,
-                                    total.counterexample or rep.counterexample,
-                                    total.skipped + rep.skipped,
-                                    total.total + rep.total)
-            if not rep.ok:
-                return total, subject, f"{trans}-form of the substitution property fails"
-        return total, subject, ""
+            reps.append(check_valid(claim, free_vars(claim), U))
+            if not reps[-1].ok:
+                break
+        total = SweepReport(reps[-1].ok, reps[-1].counterexample,
+                            sum(r.skipped for r in reps), sum(r.total for r in reps))
+        return total, subject, "" if total.ok else f"{trans}-form of the substitution property fails"
 
     _sampled(cfg, _g_subst, check, report, cfg.sample_count)
     return report

@@ -1,4 +1,5 @@
 """CLI behavior: dispatch, exit codes, determinism of output."""
+import hashlib
 import io
 import json
 import os
@@ -14,8 +15,10 @@ import pytest
 
 import mfbridge
 from mfbridge.cli import main
+from mfbridge.core import free_vars
 from mfbridge.hf import EvalError
-from mfbridge.parser import MAX_DEPTH
+from mfbridge.parser import MAX_DEPTH, ParseError, parse_set
+from mfbridge.set_syntax import elaborate
 from mfbridge.sexp import MAX_DEPTH as MAX_SEXP_DEPTH
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -111,6 +114,15 @@ def test_eval_refuses_an_env_name_that_is_not_a_variable(tmp_path, capsys, name,
     f = _write(tmp_path, "a.fm", text)
     code, out, err = run(capsys, "eval", "--env", f"{name}={{}}", f)
     assert (code, out, err) == (2, "", f"error: --env name {name!r} is not a variable name\n")
+
+
+@pytest.mark.parametrize("text, env, name", [("empty = empty", "x={}", "x"),
+                                             ("all x. x = x", "x={}", "x"),
+                                             ("x = x", "x={},y={}", "y")])
+def test_eval_refuses_an_env_name_that_is_not_free(tmp_path, capsys, text, env, name):
+    f = _write(tmp_path, "a.fm", text)
+    code, out, err = run(capsys, "eval", "--env", env, f)
+    assert (code, out, err) == (2, "", f"error: --env name {name!r} is not free in the input\n")
 
 
 def test_check_exit_codes(capsys):
@@ -324,6 +336,58 @@ def test_sigma_grid_over_the_cell_cap(tmp_path, capsys):
     assert "cell cap" in err
 
 
+SIGMA_DIGESTS = {
+    "01_atom_eq": "01aee8210fe77064fb6e72a896eca7b62d6569b7aa8d2d877823d3d325b56195",
+    "02_conj_atoms": "716c7f7099bfc9e7c570f099de98e435b777a01446078c3c0b079954ba941c3c",
+    "03_exists_in_pair": "2e903aadda08ee3ed46f2228d70f45d3fcd18d070b43113b9a10d24b905a554a",
+    "04_forall_in_union": "a89cb0e83d4b05809779513a105bc4ecc21260ece747559034fb25777bb8de60",
+    "05_plain_empty": "fccf8e96aa53e9c24aa57c03714fc40a582ba944fe675ef2e91d07f218a1bda1",
+    "06_nested": "91595388e83e8a79120fe505bd835e40235a305eb5a023f0e3727e93663ba2a7",
+    "07_pow_witness": "e81bf143422134a6474d5031cc1c731ca1cdb82cc74c9a5d004f471bca6dea40",
+    "08_imp_atoms": "ebd5ca8988769d2992e976631084f011060584080532e0dfe05e7c2437a0eff4",
+    "09_or_bounded": "8e835c02086f4c584d7a14c1890c6b9a2b65a854224e4cacc93233fc5b35a75a",
+    "10_two_steps": "2bd0ada8a42a421b1a4b96f033740266818d181d943d15ed4be891b42aff3e2e",
+}
+# gamma, derivation, the one stderr line
+SIGMA_REFUSALS = (
+    ("x = x", "(K0Atom (Eq (Var x) (Var w)))",
+     "root: free variables ['w'] of the formula are not free in gamma"),
+    ("x = x", "(K0Atom (Eq (Empty) (Empty)))",
+     "root: atoms must be falsum or equality/membership of variables"),
+    ("x = x", "(K0Conn and (K0Atom (Bot)) (K0Atom (Mem (Empty) (Var x))))",
+     "root.right: atoms must be falsum or equality/membership of variables"),
+    ("x = x", "(K0Bounded plain z (Eq (Var z) (Var x)) _ "
+              "(K0Bounded plain z (Eq (Var z) (Var x)) _ (K0Atom (Bot))))",
+     "root.body: bound witness variable 'z' reused"),
+    ("z = z", "(K0Bounded plain z (Eq (Var z) (Empty)) _ (K0Atom (Bot)))",
+     "root: witness variable 'z' is not fresh for gamma"),
+    ("x = x", "(K0Bounded plain z (Eq (Var z) (Var x)) _ "
+              "(K0Bounded plain w (Eq (Var w) (Var z)) _ (K0Atom (Bot))))",
+     "root.body: witness formula mentions ['z'] beyond gamma and 'w'"),
+    ("x = x", "(K0Bounded existsIn z (Eq (Var z) (Pair (Var x) (Var x))) y "
+              "(K0Bounded plain y (Eq (Var y) (Var x)) _ (K0Atom (Bot))))",
+     "root.body: witness step mentions ['y'], bound by an enclosing step"),
+    ("x = x", "(K0Bounded existsIn z (Eq (Var z) (Pair (Var x) (Var x))) z "
+              "(K0Atom (Mem (Var z) (Var x))))",
+     "root: bounded variable 'z' captures the step's own witness variable"),
+)
+
+
+def test_sigma_output_is_pinned(tmp_path, capsys):
+    # the corpus prints the same report, and each side condition of the
+    # derivation checker is refused with the same line
+    for path in sorted((DATA / "k0").glob("*.k0")):
+        g = path.with_name(path.name[:-3] + ".gamma.fm")
+        code, out, err = run(capsys, "sigma", "--derivation", str(path), "--gamma", str(g),
+                             "--rank", "3")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, err, digest) == (0, "", SIGMA_DIGESTS[path.name[:-3]]), path.name
+    for gamma, text, line in SIGMA_REFUSALS:
+        g, d = _write(tmp_path, "g.fm", gamma), _write(tmp_path, "d.k0", text)
+        code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g, "--rank", "3")
+        assert (code, out, err) == (1, "", f"mismatch at {line}\n"), text
+
+
 def test_rules_list_counts(capsys):
     for flavor, n in (("czf", 61), ("izf", 62), ("zf", 63)):
         code, out, _ = run(capsys, "rules", "--flavor", flavor, "--list")
@@ -481,10 +545,11 @@ _RULE_INSTANCES = (
   (conclusion (is (compr q (epst q omegav)) col)))""",
 )
 # the commands that read each kind of input; 0 and 1 stand for its files
+_FUZZ_ENV = "x={},y={{}},z={}"  # narrowed by _fuzz_env to the input's free names
 _FUZZ_COMMANDS = {
     "set": (["parse", 0], ["parse", "--format", "sexp", 0], ["classify", 0],
             ["classify", "--flavor", "zf", 0], ["translate", "--dir", "set2emtt", 0],
-            ["eval", "--rank", "1", "--env", "x={},y={{}},z={}", 0]),
+            ["eval", "--rank", "1", "--env", _FUZZ_ENV, 0]),
     "emtt": (["parse", "--lang", "emtt", 0],
              *(["translate", "--dir", "emtt2set", "--mode", m, 0]
                for m in ("eta", "delta", "hat", "context"))),
@@ -513,6 +578,16 @@ def _fuzz_corpus() -> dict[str, list[tuple[str, ...]]]:
     for d in sorted((DATA / "k0").glob("*.k0")):
         corpus["k0"].append((d.read_text(), d.with_suffix(".gamma.fm").read_text()))
     return corpus
+
+
+def _fuzz_env(text: str) -> str:
+    """The entries of _FUZZ_ENV for the names free in text, or all of them
+    when text does not parse, so that eval is not refused an unused name."""
+    try:
+        names = free_vars(elaborate(parse_set(text)))
+    except ParseError:
+        return _FUZZ_ENV
+    return ",".join(e for e in _FUZZ_ENV.split(",") if e[0] in names)
 
 
 def _mutate(text: str, rng, pool) -> str:
@@ -552,7 +627,8 @@ def test_fuzz_cli_ends_in_an_exit_code(tmp_path, capsys):
         k = rng.randrange(len(texts))
         texts[k] = _mutate(texts[k], rng, pools[kind])
         paths = [_write(tmp_path, f"in{i}", t) for i, t in enumerate(texts)]
-        argv = [paths[a] if isinstance(a, int) else a for a in rng.choice(_FUZZ_COMMANDS[kind])]
+        argv = [paths[a] if isinstance(a, int) else _fuzz_env(texts[0]) if a == _FUZZ_ENV else a
+                for a in rng.choice(_FUZZ_COMMANDS[kind])]
         try:
             code, out, err = run(capsys, *argv)
         except Exception as e:
