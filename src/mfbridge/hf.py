@@ -41,6 +41,8 @@ Two independent engines are provided and cross-checked in the test suite:
 A sweep evaluates each structurally distinct subtree once: a pre-pass counts
 each node's requests, and its arrays stay in a memo until the last one.  That
 is sound, as the arrays depend only on the subtree, `strict` and `pinned`.
+A formula's overflow mask spans only its overflowing atoms' variables, usually
+none, so the memo rarely holds, and a connective rarely builds, a full-size mask.
 
 numpy is imported by the first table build (`Universe.tables()`, which every
 sweep calls first), not at import, so commands that never sweep start without
@@ -321,9 +323,12 @@ def eval_formula(f: SetFormula, env: Env, U: Universe, strict: bool = False) -> 
 # -- vectorized sweep engine ----------------------------------------------------
 #
 # A term denotes an integer array over the grid of its free variables (entry =
-# code, or BIG or UNKNOWN); a formula denotes a (truth, overflow) pair of
-# boolean arrays.  Dimension name tuples are kept sorted, so an array's axes
-# always appear in the same order as any enclosing grid's.
+# code, or BIG or UNKNOWN); a formula denotes (dims, truth, overflow dims,
+# overflow), two boolean arrays over their own dims: the overflow dims are a
+# subset of the truth's, () wherever no atom below overflows, and only
+# `_sweep_arrays` widens both to the sweep grid.  Dimension name tuples are
+# kept sorted, so an array's axes always appear in the same order as any
+# enclosing grid's.
 
 def _expand(dims: tuple[str, ...], arr: np.ndarray, target: tuple[str, ...]) -> np.ndarray:
     if dims == target:
@@ -346,6 +351,11 @@ def _join(n: int, *dimsets) -> tuple[str, ...]:
     return target
 
 
+def _narrow(dims: tuple[str, ...], ov: np.ndarray):
+    """An atom's overflow mask, over no dims at all where it is empty."""
+    return (dims, ov) if ov.any() else ((), np.False_)
+
+
 class _SweepEngine:
     # `pinned` maps a name to a fixed (dims, code array) value; no binder in
     # the swept formula may reuse a pinned name or one of its dims
@@ -358,7 +368,7 @@ class _SweepEngine:
         self.memo, self.uses = {}, {}  # node -> arrays; node -> requests still to come
 
     def sweep(self, f: SetFormula):
-        """`f`'s (dims, truth, overflow), each distinct subtree evaluated once."""
+        """`f`'s (dims, truth, overflow dims, overflow); each distinct subtree once."""
         stack = [f]
         while stack:
             node = stack.pop()
@@ -422,27 +432,27 @@ class _SweepEngine:
         # and `pinned`'s contract keeps it off the pinned dims
         db, vb = self.term(bound)
         assert x not in db, f"separation binder {x!r} is an axis of its bound"
-        df, tr, ov = self.formula(body)
+        df, tr, odf, ov = self.formula(body)
         out_dims = _join(self.n, db, set(df) - {x})
         full = _join(self.n, out_dims, {x})
         xpos = full.index(x)
         B = _expand(db, vb, out_dims)
         inb = np.moveaxis(self.mem[:, np.maximum(B, 0)], 0, xpos)
-        bad = (B < 0) | (inb & _expand(df, ov, full)).any(axis=xpos)
+        bad = (B < 0) | (inb & _expand(odf, ov, full)).any(axis=xpos)
         code = np.moveaxis(inb & _expand(df, tr, full), xpos, -1) @ (1 << np.arange(self.n))
         return out_dims, np.where(bad, UNKNOWN, code)
 
     def _formula(self, f: SetFormula):
         match f:
             case Bot():
-                return (), np.full((), False), np.full((), False)
+                return (), np.full((), False), (), np.full((), False)
             case Eq(a, b):
                 dims, va, vb = self._terms(a, b)
                 if self.strict:
                     ov = (va < 0) | (vb < 0)
                 else:
                     ov = (va == UNKNOWN) | (vb == UNKNOWN) | ((va == BIG) & (vb == BIG))
-                return dims, (va == vb) & (va >= 0), ov
+                return dims, (va == vb) & (va >= 0), *_narrow(dims, ov)
             case Mem(a, b):
                 dims, va, vb = self._terms(a, b)
                 tr = self.mem[np.maximum(va, 0), np.maximum(vb, 0)]
@@ -450,28 +460,27 @@ class _SweepEngine:
                     ov = (va < 0) | (vb < 0)
                 else:
                     ov = (vb < 0) | (va == UNKNOWN)
-                return dims, tr & (va >= 0) & (vb >= 0), ov
+                return dims, tr & (va >= 0) & (vb >= 0), *_narrow(dims, ov)
             case And(l, r) | Or(l, r) | Imp(l, r):
-                dl, tl, ol = self.formula(l)
-                dr, tr, orr = self.formula(r)
-                dims = _join(self.n, dl, dr)
-                tl, ol = _expand(dl, tl, dims), _expand(dl, ol, dims)
-                tr, orr = _expand(dr, tr, dims), _expand(dr, orr, dims)
+                dl, tl, odl, ol = self.formula(l)
+                dr, tr, odr, orr = self.formula(r)
+                dims, od = _join(self.n, dl, dr), _join(self.n, odl, odr)
+                tl, tr = _expand(dl, tl, dims), _expand(dr, tr, dims)
                 if isinstance(f, And):
                     t = tl & tr
                 elif isinstance(f, Or):
                     t = tl | tr
                 else:
-                    t = ~tl | tr
-                return dims, t, ol | orr
+                    t = tl <= tr
+                return dims, t, od, _expand(odl, ol, od) | _expand(odr, orr, od)
             case Forall(x, body) | Exists(x, body):
-                db, tb, ob = self.formula(body)
-                if x not in db:
-                    return db, tb, ob
-                ax = db.index(x)
-                dims = tuple(d for d in db if d != x)
-                red = np.all if isinstance(f, Forall) else np.any
-                return dims, red(tb, axis=ax), np.any(ob, axis=ax)
+                db, tb, odb, ob = self.formula(body)
+                if x in db:
+                    red = np.all if isinstance(f, Forall) else np.any
+                    db, tb = tuple(d for d in db if d != x), red(tb, axis=db.index(x))
+                if x in odb:
+                    odb, ob = tuple(d for d in odb if d != x), np.any(ob, axis=odb.index(x))
+                return db, tb, odb, ob
             case _:
                 raise TypeError(f"not a core set formula: {f!r}")
 
@@ -490,14 +499,14 @@ class SweepReport:
 
 def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
                   strict: bool = False, pinned=None):
-    dims, tr, ov = _SweepEngine(U, strict, pinned).sweep(f)
+    dims, tr, odims, ov = _SweepEngine(U, strict, pinned).sweep(f)
     full = tuple(sorted(set(variables)))
     missing = set(dims) - set(full)
     if missing:
         raise EvalError(f"free variables {sorted(missing)} not among sweep variables")
     shape = (len(U.elements),) * len(full)
     tr = np.broadcast_to(_expand(dims, tr, full), shape)
-    ov = np.broadcast_to(_expand(dims, ov, full), shape)
+    ov = np.broadcast_to(_expand(odims, ov, full), shape)
     return full, tr, ov
 
 

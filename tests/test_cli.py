@@ -14,10 +14,12 @@ import time
 import pytest
 
 import mfbridge
+from mfbridge import properties, set_syntax as fol
 from mfbridge.cli import main
 from mfbridge.core import free_vars
+from mfbridge.hat import HatTranslator
 from mfbridge.hf import EvalError
-from mfbridge.parser import MAX_DEPTH, ParseError, parse_set
+from mfbridge.parser import MAX_DEPTH, ParseError, parse_set, parse_set_formula
 from mfbridge.set_syntax import elaborate
 from mfbridge.sexp import MAX_DEPTH as MAX_SEXP_DEPTH
 
@@ -165,6 +167,37 @@ def test_check_deterministic_output(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2  # byte-identical
+
+
+def test_check_axioms_renders_a_failing_report(monkeypatch, capsys):
+    planted = [("planted-pair", parse_set_formula("x in y -> {x, x} = y")),
+               ("planted-pow", parse_set_formula("Pow(x) in Pow(y)"))]
+    monkeypatch.setattr(properties, "standard_axioms", lambda: planted)
+    code, out, err = run(capsys, "check", "--property", "axioms", "--rank", "3")
+    assert (code, err) == (1, "")
+    assert out == (
+        "property axioms: FAIL (2 samples, 192 overflow-skipped envs, 0 regenerated)\n"
+        "  sample 0: axiom fails in the bounded universe\n"
+        "    input: planted-pair\n"
+        "    env: x={}, y={{},{{}}}\n"
+        "  sample 1: axiom fails in the bounded universe\n"
+        "    input: planted-pow\n"
+        "    env: x={}, y={}\n")
+
+
+@pytest.mark.parametrize("method, detail, subject", [
+    ("hat", "free vars ['leak'] != []", "tt eps eps"),
+    ("eta", "collection image leaks variables ['leak']", "V"),
+    ("delta", "term image leaks variables ['leak']", "eps"),
+])
+def test_check_freevars_renders_a_leaked_variable(monkeypatch, capsys, method, detail, subject):
+    translate = getattr(HatTranslator, method)
+    monkeypatch.setattr(HatTranslator, method, lambda self, node: fol.And(
+        translate(self, node), fol.Mem(fol.Var("leak"), fol.Var("leak"))))
+    code, out, err = run(capsys, "check", "--property", "freevars", "--samples", "1", "--depth", "0")
+    assert (code, err) == (1, "")
+    assert out == ("property freevars: FAIL (1 samples, 0 overflow-skipped envs, 0 regenerated)\n"
+                   f"  sample 0: {detail}\n    input: {subject}\n")
 
 
 def test_check_output_does_not_depend_on_the_hash_seed():
@@ -428,6 +461,11 @@ def test_rules_refuses_list_with_check(tmp_path, capsys):
     for target in (f, str(tmp_path / "nonexistent")):
         code, out, err = run(capsys, "rules", "--list", "--check", target)
         assert (code, out, err) == (2, "", "error: --list and --check exclude each other\n")
+
+
+def test_rules_refuses_to_do_nothing(capsys):
+    code, out, err = run(capsys, "rules")
+    assert (code, out, err) == (2, "", "rules: nothing to do (use --list or --check)\n")
 
 
 def test_rules_check_refuses_the_list_only_flags(tmp_path, capsys):

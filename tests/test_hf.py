@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfbridge import hf
-from mfbridge.core import all_names, free_vars, subst1, walk
+from mfbridge.core import FreshNames, all_names, free_vars, subst1, walk
+from mfbridge.hat import PLACEHOLDER, HatTranslator
 from mfbridge.hf import (EMPTY, EvalError, Overflow, check_equivalence, check_valid,
                          enumerate_universe, eval_formula, eval_term, evaluate, make_hf,
                          members, nat, parse_env, parse_hf, print_hf, rank, standard_axioms)
 from mfbridge.parser import parse_set, parse_set_formula, parse_set_term
 from mfbridge.set_syntax import (And, Bot, Empty, Eq, Forall, Imp, Mem, Omega, Pair,
                                  Pow, Sep, SetTerm, Union, Var, elaborate)
+from mfbridge.tilde import tilde_formula, tilde_term
 
 
 def test_universe_sizes():
@@ -220,6 +222,26 @@ def test_engines_agree_rank3(seed, strict):
     _assert_engines_agree(f, enumerate_universe(3), strict)
 
 
+# the inputs the round-trip sweep really sweeps: each image, and its
+# equivalence claim built as check_oneside builds it
+
+def _round_trip_claims(seed):
+    from mfbridge.properties import GenConfig, gen_set_formula, gen_set_term
+    cfg = GenConfig(seed=seed, max_depth=1)
+    psi, a = gen_set_formula(cfg), gen_set_term(cfg)
+    psi_img = HatTranslator(FreshNames.for_nodes(psi)).hat(tilde_formula(psi))
+    a_img = HatTranslator(FreshNames.for_nodes(a)).delta(tilde_term(a))
+    iff = lambda f, g: And(Imp(f, g), Imp(g, f))
+    return psi_img, a_img, iff(psi, psi_img), iff(Eq(Var(PLACEHOLDER), a), a_img)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_engines_agree_on_round_trip_images(strict):
+    for seed in range(20):
+        for f in _round_trip_claims(seed):
+            _assert_engines_agree(f, enumerate_universe(2), strict)
+
+
 # `evaluate` (one sweep, every free variable pinned) against the reference:
 # the same value or truth value, and where it overflows, for a term the same
 # message (a formula's overflow message is fixed; the reference's names the atom)
@@ -321,6 +343,24 @@ def test_each_distinct_subtree_is_evaluated_once():
     hand = _subst_shaped_claims()[0]
     sep_body = hand.right.left.left.left.body
     assert list(walk(hand)).count(sep_body) == 4  # twice in s, twice in i
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_an_overflow_mask_spans_only_its_overflowing_atoms(strict):
+    U = enumerate_universe(2)
+    # atoms that compare only variables never overflow: the mask has no dims
+    claim = elaborate(parse_set_formula("all z. (z in x <-> z in y) -> x = y"))
+    dims, _, odims, ov = hf._SweepEngine(U, strict).sweep(claim)
+    assert (dims, odims, ov.shape, bool(ov)) == (("x", "y"), (), (), False)
+    # {x, y} escapes V_2 where x or y has rank 2, so that atom keeps its dims
+    claim = And(Mem(Var("z"), Pair(Var("x"), Var("y"))), Mem(Var("w"), Var("x")))
+    dims, _, odims, ov = hf._SweepEngine(U, strict).sweep(claim)
+    assert (dims, odims, ov.shape) == (("w", "x", "y", "z"), ("x", "y", "z"), (4, 4, 4))
+    assert ov.any() and not ov.all()
+    # _sweep_arrays widens both to the sweep grid
+    full, tr, wide = hf._sweep_arrays(claim, ("v",) + dims, U, strict)
+    assert full == ("v",) + dims and tr.shape == wide.shape == (4,) * 5
+    assert (wide == ov[None, None]).all()
 
 
 @pytest.mark.parametrize("seed", range(12))
