@@ -8,7 +8,7 @@ import sys
 
 from mfbridge.core import FreshNames, free_vars, normalize_binders
 from mfbridge.hat import HatTranslator
-from mfbridge.hf import check_equivalence, enumerate_universe
+from mfbridge.hf import check_equivalence, enumerate_universe, print_env
 from mfbridge.parser import parse_set_formula
 from mfbridge.printer import print_emtt, print_set
 from mfbridge.set_syntax import elaborate
@@ -32,9 +32,7 @@ def main() -> int:
     print(f"equivalent over V_{rank}: {rep.ok} "
           f"({rep.checked} of {rep.total} environments checked, {rep.skipped} skipped)")
     if rep.counterexample:
-        from mfbridge.hf import print_hf
-        env = ", ".join(f"{k}={print_hf(v)}" for k, v in sorted(rep.counterexample.items()))
-        print(f"counterexample: {env}")
+        print(f"counterexample: {print_env(rep.counterexample)}")
     return 0 if rep.ok else 1
 
 

@@ -181,8 +181,7 @@ def cmd_sigma(args) -> int:
         print(f"obligation for {ob.z}: {ob.status}"
               + (f" at rank {ob.rank}" if ob.rank is not None else ""))
         if ob.status == "refuted" and ob.counterexample:
-            env = ", ".join(f"{k}={hf.print_hf(v)}" for k, v in sorted(ob.counterexample.items()))
-            print(f"  counterexample: {env}")
+            print(f"  counterexample: {hf.print_env(ob.counterexample)}")
     if any(ob.status != "hf_verified" for ob in obligations):
         return 1
     result = delta0_k0.sigma(d, obligations)

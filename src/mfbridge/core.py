@@ -262,38 +262,30 @@ def _alpha(a: Node, b: Node, env1: dict[str, int], env2: dict[str, int], depth: 
     return True
 
 
-def normalize_binders(node: Node, fresh: FreshNames | None = None) -> Node:
-    """Rename binders so no name is bound twice or both free and bound."""
+def normalize_binders(node: Node, fresh: FreshNames | None = None,
+                      avoid: frozenset[str] = frozenset()) -> Node:
+    """Rename binders so no name is bound twice, both free and bound, or in `avoid`.
+    In one walk, a taken binder gets the next fresh name, and its scope follows it."""
     if fresh is None:
-        fresh = FreshNames.for_nodes(node)
-    used = set(free_vars(node))
-    return _normalize(node, fresh, used)
+        fresh = FreshNames(max([fresh_floor(node), *map(_suffix, avoid)]))
+    return _normalize(node, fresh, set(free_vars(node) | avoid), {})
 
 
-def _normalize(node: Node, fresh: FreshNames, used: set[str]) -> Node:
+def _normalize(node: Node, fresh: FreshNames, used: set[str], renamed: dict[str, Node]) -> Node:
     if isinstance(node, VarNode):
-        return node
+        return renamed.get(node.name, node)
     spec = node.binding
     vals = node._values()
-    renames: dict[int, str] = {}
+    new_vals = list(vals)
     for i, sp in enumerate(spec):
         if sp == "B":
             if vals[i] in used:
-                renames[i] = fresh(vals[i])
-                used.add(renames[i])
-            else:
-                used.add(vals[i])
-    new_vals = list(vals)
-    for i, nn in renames.items():
-        new_vals[i] = nn
+                new_vals[i] = fresh(vals[i])
+            used.add(new_vals[i])
     for j, sp in enumerate(spec):
-        if not isinstance(sp, tuple):
-            continue
-        child = vals[j]
-        m = {vals[i]: node.var_cls(renames[i]) for i in sp if i in renames}
-        if m:
-            child = _subst(child, m, fresh)
-        new_vals[j] = _normalize(child, fresh, used)
+        if isinstance(sp, tuple):
+            scope = renamed | {vals[i]: node.var_cls(new_vals[i]) for i in sp if new_vals[i] != vals[i]}
+            new_vals[j] = _normalize(vals[j], fresh, used, scope)
     return type(node)(*new_vals)
 
 

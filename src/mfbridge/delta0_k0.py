@@ -16,11 +16,10 @@ are reported as leftovers.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 from . import hf
-from .core import FreshNames, Node, alpha_eq, free_vars, normalize_binders
+from .core import FreshNames, Node, alpha_eq, free_vars
 from .hf import Env, SweepReport, _sweep_arrays, check_valid, enumerate_universe
 from .set_syntax import (And, Bot, Eq, Exists, ExistsUnique, Forall, Imp, Mem,
                          Or, SetFormula, Var, elaborate, is_delta0)
@@ -267,12 +266,8 @@ def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementR
         lost = counted & ((tr.sum(axis=ax) != 1) | ov.any(axis=ax))
         skip, counted = skip | lost, counted & ~lost
         pinned[ob.z] = (gvars, tr.argmax(axis=ax))
-    # keep the image's binders off gamma's variables and the witness names,
-    # so no binder captures an axis of a pinned array
-    names = [Eq(Var(x), Var(x)) for x in gvars + tuple(pinned)]
-    image = normalize_binders(And(sg.formula, functools.reduce(And, names, Bot()))).left
     _, p_tr, p_ov = _sweep_arrays(phi, gvars, U)
-    _, s_tr, s_ov = _sweep_arrays(image, gvars, U, pinned=pinned)
+    _, s_tr, s_ov = _sweep_arrays(sg.formula, gvars, U, pinned=pinned)
     lost = counted & (p_ov | s_ov)
     skip, counted = (skip | lost).ravel(), (counted & ~lost).ravel()
     differ = counted & (p_tr != s_tr).ravel()

@@ -13,13 +13,14 @@ Term evaluation is three-valued at the harness level: a code, BIG (the true
 value definitely has rank above the bound, e.g. a pair of two in-universe
 sets that is one rank too high), or UNKNOWN (the value could not be
 determined, e.g. a separation whose body was undecidable).  BIG and UNKNOWN
-are the negative ints -1 and -2 in both engines.  Atoms decide wherever
-soundness allows: equality against a BIG value is false unless both sides
-are BIG; a BIG value is never a member of an in-universe one.  Without this
-the pair-building existential inside the list-length abbreviation would
-overflow in every environment.  Everything else propagates Overflow, and
-evaluation never short-circuits, so overflow behaves identically in both
-evaluation engines.
+are the negative ints -1 and -2 in both engines, and rows of the sweep
+engine's tables, so there a lookup propagates them (`Universe.tables`).
+Atoms decide wherever soundness allows: equality against a BIG value is
+false unless both sides are BIG; a BIG value is never a member of an
+in-universe one.  Without this the pair-building existential inside the
+list-length abbreviation would overflow in every environment.  Everything
+else propagates Overflow, and evaluation never short-circuits, so overflow
+behaves identically in both evaluation engines.
 
 Two independent engines are provided and cross-checked in the test suite:
 
@@ -113,6 +114,11 @@ def print_hf(s: int) -> str:
     return "{" + ",".join(print_hf(c) for c in members(s)) + "}"
 
 
+def print_env(env: Env) -> str:
+    """`k={...}` for each variable, sorted by name, joined by ', '."""
+    return ", ".join(f"{k}={print_hf(v)}" for k, v in sorted(env.items()))
+
+
 def parse_hf(text: str) -> int:
     """Read a set literal such as {{},{{}}}.  A literal of rank above MAX_RANK
     lies outside every universe a command sweeps, and its Ackermann code grows
@@ -195,7 +201,9 @@ class Universe:
         return s
 
     def tables(self):
-        """(mem, pair, union, pow) as tables over codes; BIG = escapes V_k."""
+        """(mem, pair, union, pow) over the codes, BIG where a value escapes V_k, each
+        axis ending in an UNKNOWN and a BIG row (numpy's -2 and -1): pair is BIG where
+        either side is, else UNKNOWN; union is UNKNOWN; pow keeps each; mem is False."""
         global np
         if self._tables is None:
             import numpy as np
@@ -203,11 +211,13 @@ class Universe:
             code = np.arange(n, dtype=np.int64)
             mem = ((code[None, :] >> code[:, None]) & 1).astype(bool)  # bit i of j
             bit = 1 << code
-            pair = bit[:, None] | bit[None, :]
+            pair = np.pad(bit[:, None] | bit[None, :], (0, 2), constant_values=UNKNOWN)
+            pair[pair >= n] = pair[BIG] = pair[:, BIG] = BIG
             union = np.bitwise_or.reduce(np.where(mem, code[:, None], 0), axis=0)
             subset = (code[:, None] & code[None, :]) == code[:, None]  # s within i
             pw = np.where(subset, bit[:, None], 0).sum(axis=0)
-            self._tables = (mem, np.where(pair < n, pair, BIG), union, np.where(pw < n, pw, BIG))
+            self._tables = (np.pad(mem, (0, 2)), pair, np.append(union, [UNKNOWN, UNKNOWN]),
+                            np.append(np.where(pw < n, pw, BIG), [UNKNOWN, BIG]))
         return self._tables
 
 
@@ -357,8 +367,8 @@ def _narrow(dims: tuple[str, ...], ov: np.ndarray):
 
 
 class _SweepEngine:
-    # `pinned` maps a name to a fixed (dims, code array) value; no binder in
-    # the swept formula may reuse a pinned name or one of its dims
+    # `pinned` maps a name to a fixed (dims, code array) value; `_sweep_arrays`
+    # renames the formula's binders off every pinned name and dim
     def __init__(self, U: Universe, strict: bool = False, pinned=None):
         self.U = U
         self.strict = strict
@@ -408,16 +418,13 @@ class _SweepEngine:
                 return (), np.full((), self.U.omega, dtype=np.int64)
             case Pair(a, b):
                 dims, va, vb = self._terms(a, b)
-                out = self.pair[np.maximum(va, 0), np.maximum(vb, 0)]
-                out = np.where((va == UNKNOWN) | (vb == UNKNOWN), UNKNOWN, out)
-                return dims, np.where((va == BIG) | (vb == BIG), BIG, out)
+                return dims, self.pair[va, vb]
             case Union(a):
                 da, va = self.term(a)
-                return da, np.where(va < 0, UNKNOWN, self.union[np.maximum(va, 0)])
+                return da, self.union[va]
             case Pow(a):
                 da, va = self.term(a)
-                out = np.where(va == UNKNOWN, UNKNOWN, self.pow[np.maximum(va, 0)])
-                return da, np.where(va == BIG, BIG, out)
+                return da, self.pow[va]
             case Sep(x, bound, body):
                 return self._sep(x, bound, body)
             case _:
@@ -429,7 +436,7 @@ class _SweepEngine:
         # (or an escaping bound) leaves the value undetermined.  The gather
         # adds the binder axis next to the bound's, so the binder must not
         # be one of them: Sep keeps it out of the bound's free variables,
-        # and `pinned`'s contract keeps it off the pinned dims
+        # and `_sweep_arrays` keeps it off the pinned dims
         db, vb = self.term(bound)
         assert x not in db, f"separation binder {x!r} is an axis of its bound"
         df, tr, odf, ov = self.formula(body)
@@ -437,7 +444,7 @@ class _SweepEngine:
         full = _join(self.n, out_dims, {x})
         xpos = full.index(x)
         B = _expand(db, vb, out_dims)
-        inb = np.moveaxis(self.mem[:, np.maximum(B, 0)], 0, xpos)
+        inb = np.moveaxis(self.mem[:self.n, B], 0, xpos)
         bad = (B < 0) | (inb & _expand(odf, ov, full)).any(axis=xpos)
         code = np.moveaxis(inb & _expand(df, tr, full), xpos, -1) @ (1 << np.arange(self.n))
         return out_dims, np.where(bad, UNKNOWN, code)
@@ -455,12 +462,11 @@ class _SweepEngine:
                 return dims, (va == vb) & (va >= 0), *_narrow(dims, ov)
             case Mem(a, b):
                 dims, va, vb = self._terms(a, b)
-                tr = self.mem[np.maximum(va, 0), np.maximum(vb, 0)]
                 if self.strict:
                     ov = (va < 0) | (vb < 0)
                 else:
                     ov = (vb < 0) | (va == UNKNOWN)
-                return dims, tr & (va >= 0) & (vb >= 0), *_narrow(dims, ov)
+                return dims, self.mem[va, vb], *_narrow(dims, ov)
             case And(l, r) | Or(l, r) | Imp(l, r):
                 dl, tl, odl, ol = self.formula(l)
                 dr, tr, odr, orr = self.formula(r)
@@ -499,6 +505,8 @@ class SweepReport:
 
 def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
                   strict: bool = False, pinned=None):
+    if pinned:
+        f = normalize_binders(f, avoid=frozenset(pinned).union(*(d for d, _ in pinned.values())))
     dims, tr, odims, ov = _SweepEngine(U, strict, pinned).sweep(f)
     full = tuple(sorted(set(variables)))
     missing = set(dims) - set(full)
@@ -529,8 +537,6 @@ def evaluate(node, env: Env, U: Universe):
     """A core formula's truth value or a core term's code in `env`, as one
     sweep with each free variable pinned; Overflow when it escapes V_k or
     cannot be determined.  A term t is swept as u = t over a fresh u."""
-    fresh = FreshNames.for_nodes(node)
-    node = normalize_binders(node, fresh)  # no binder reuses a pinned name
     U.tables()  # binds np for the pinned arrays
     pinned = {x: ((), np.array(U.index_of(env[x]))) for x in free_vars(node) & env.keys()}
     if isinstance(node, SetFormula):
@@ -538,7 +544,7 @@ def evaluate(node, env: Env, U: Universe):
         if ov:
             raise Overflow("truth value could not be determined within the rank bound")
         return bool(tr)
-    u = fresh("u")
+    u = FreshNames.for_nodes(node)("u")
     _, tr, ov = _sweep_arrays(Eq(Var(u), node), (u,), U, pinned=pinned)
     if ov.any():
         raise Overflow("value could not be determined within the rank bound")

@@ -37,7 +37,8 @@ from . import emtt_syntax as pre
 from . import set_syntax as fol
 from .core import FreshNames, VarNode, field_sorts, free_vars
 from .hat import PLACEHOLDER, HatTranslator
-from .hf import CellCapError, SweepReport, check_equivalence, check_valid, enumerate_universe, standard_axioms
+from .hf import (CellCapError, SweepReport, check_equivalence, check_valid, enumerate_universe, print_env,
+                 standard_axioms)
 from .printer import print_emtt, print_set
 from .tilde import tilde_formula, tilde_term
 
@@ -84,9 +85,7 @@ class CheckReport:
             lines.append(f"  sample {f.index}: {f.detail}")
             lines.append(f"    input: {f.subject}")
             if f.counterexample is not None:
-                from .hf import print_hf
-                env = ", ".join(f"{k}={print_hf(v)}" for k, v in sorted(f.counterexample.items()))
-                lines.append(f"    env: {env}")
+                lines.append(f"    env: {print_env(f.counterexample)}")
         return "\n".join(lines)
 
 

@@ -456,6 +456,36 @@ def test_rules_check(tmp_path, capsys):
         assert err.startswith("bad instance file: ") and len(err.splitlines()) == 1, err
 
 
+_COMPR = "(sub (phi (epst w omegav)) (x w)) (premises {premise})\n  (conclusion (is (compr q (epst q omegav)) {kind}))"
+_PAIR = "(premises (elem emptyv V) (elem omegav V))\n  (conclusion (elem (pairv emptyv omegav) V))"
+
+
+@pytest.mark.parametrize("instance, reason", [
+    ("step4.star-eq (flavor czf) (sub) (premises) (conclusion (elem star N1))",
+     "conclusion: judgment form differs: expected eqelem, got elem"),
+    ("step1.compr-formation (flavor czf) " + _COMPR.format(premise="(is (epst q omegav) prop)", kind="col"),
+     "premise 1: context length differs"),
+    ("step1.compr-formation (flavor czf) "
+     + _COMPR.format(premise="(is (epst q omegav) prop (ctx (q N1)))", kind="col"),
+     "premise 1: context collection 1 differs from the schema instantiation"),
+    ("step1.compr-formation (flavor czf) "
+     + _COMPR.format(premise="(is (epst q omegav) prop (ctx (q V)))", kind="set"),
+     "conclusion: judgment kind differs: expected 'col', got 'set'"),
+    ("step3.pow-formation (flavor czf) (sub (a emptyv)) (premises (elem emptyv V))\n"
+     "  (conclusion (elem (powv emptyv) V))",
+     "rule step3.pow-formation is not part of czf"),
+    ("step3.pair-formation (flavor czf) (sub (a emptyv)) " + _PAIR,
+     "substitution misses metavariable ?b"),
+    ("step4.sigma-char (flavor czf) (sub (A V) (B V) (x w) (y b) (z w)) (premises)\n"
+     "  (conclusion (is V col))",
+     "fresh variable ?z='w' collides with ?x"),
+], ids=["form", "context-length", "context-collection", "kind", "flavor", "missing-meta",
+        "fresh-collides"])
+def test_rules_check_names_each_refusal(tmp_path, capsys, instance, reason):
+    f = _write(tmp_path, "refused.ri", f"(instance {instance})\n")
+    assert run(capsys, "rules", "--check", f) == (1, f"mismatch: {reason}\n", "")
+
+
 def test_rules_refuses_list_with_check(tmp_path, capsys):
     f = _write(tmp_path, "empty.ri", "")
     for target in (f, str(tmp_path / "nonexistent")):

@@ -1,7 +1,10 @@
 """Generic binder machinery: fresh names, substitution, alpha-equivalence,
 node interning, and the metadata each frozen node caches."""
 import dataclasses
+import functools
 import gc
+import hashlib
+import itertools
 import pathlib
 
 import pytest
@@ -145,6 +148,48 @@ def _all_sorts(seed):
     cfg = p.GenConfig(seed=seed, max_depth=3)
     return [gen(cfg, i) for i, gen in enumerate((p.gen_set_term, p.gen_set_formula, p.gen_preterm,
                                                  p.gen_precollection, p.gen_preprop))]
+
+
+def _clashing(node, scope=None, turn=None):
+    """`node` with its binders renamed x, y, z, x, ... in preorder and each bound
+    occurrence following its binder, so binders shadow one another and capture
+    free variables; ValueError where a separation's new binder is free in its bound."""
+    scope, turn = scope or {}, turn or itertools.count()
+    if isinstance(node, VarNode):
+        return type(node)(scope.get(node.name, node.name))
+    vals = node._values()
+    new = [("x", "y", "z")[next(turn) % 3] if spec == "B" else v for spec, v in zip(node.binding, vals)]
+    for j, spec in enumerate(node.binding):
+        if isinstance(spec, tuple):
+            new[j] = _clashing(vals[j], {**scope, **{vals[i]: new[i] for i in spec}}, turn)
+    return type(node)(*new)
+
+
+def test_normalize_binders_separates_forced_clashes():
+    # a '#9' name to avoid: the fresh names must count past it
+    avoid = frozenset({"x", "z#9"})
+    atoms = functools.reduce(And, [Eq(Var(x), Var(x)) for x in sorted(avoid)], Bot())
+    outs = []
+    for seed in range(400):
+        for root in _all_sorts(seed):
+            try:
+                node = _clashing(root)
+            except ValueError:
+                continue
+            plain, avoiding = normalize_binders(node), normalize_binders(node, avoid=avoid)
+            for out, avoided in ((plain, frozenset()), (avoiding, avoid)):
+                binders = [v for n in walk(out) for s, v in zip(n.binding, n._values()) if s == "B"]
+                assert alpha_eq(out, node)
+                assert len(set(binders)) == len(binders)
+                assert not set(binders) & (free_vars(out) | avoided)
+            if isinstance(node, SetFormula):
+                # avoiding names renames as if they were free in a conjunct
+                assert avoiding is normalize_binders(And(node, atoms)).left
+            outs.append(plain)
+    # pins every output, fresh names and all, to what the earlier renaming gave,
+    # which substituted into each renamed scope and then walked the result again
+    digest = hashlib.sha256("\n".join(map(repr, outs)).encode()).hexdigest()
+    assert (len(outs), digest) == (1945, "16d676c7a34ae158b345fe270b03972ce61cfd647af8dc948f789e4301dc4ed9")
 
 
 @pytest.mark.parametrize("seed", range(8))

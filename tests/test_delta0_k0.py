@@ -79,6 +79,15 @@ def test_refuted_obligation_blocks_sigma():
         sigma(d, obs)
 
 
+def test_agreement_refuses_a_derivation_that_does_not_reconstruct():
+    d = K0Conn("and", K0Atom(Bot()), K0Atom(Mem(Empty(), Var("x"))))
+    with pytest.raises(SigmaError) as refused:
+        check_sigma_agreement(d, _gamma("x = x"), 2)
+    assert str(refused.value) == (
+        "derivation does not reconstruct: Mismatch(path='root.right', "
+        "reason='atoms must be falsum or equality/membership of variables')")
+
+
 def test_mismatch_reports_path():
     # a side condition is refused at the step that breaks it; a formula other
     # than the one the derivation derives is refused once, at the root

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mfbridge import hf
 from mfbridge.core import FreshNames, all_names, free_vars, subst1, walk
 from mfbridge.hat import PLACEHOLDER, HatTranslator
-from mfbridge.hf import (EMPTY, EvalError, Overflow, check_equivalence, check_valid,
+from mfbridge.hf import (BIG, EMPTY, UNKNOWN, EvalError, Overflow, check_equivalence, check_valid,
                          enumerate_universe, eval_formula, eval_term, evaluate, make_hf,
                          members, nat, parse_env, parse_hf, print_hf, rank, standard_axioms)
 from mfbridge.parser import parse_set, parse_set_formula, parse_set_term
@@ -44,6 +44,20 @@ def test_tables_match_hf_operations():
             for b in U.elements:
                 assert mem[a, b] == (a in members(b))
                 assert pair[a, b] == code(make_hf((a, b)))
+
+
+def test_unknown_and_big_are_the_tables_last_rows():
+    U = enumerate_universe(3)
+    mem, pair, union, pw = U.tables()
+    n = len(U)
+    assert mem.shape == pair.shape == (n + 2, n + 2) and union.shape == pw.shape == (n + 2,)
+    for c in U.elements:
+        assert pair[UNKNOWN, c] == pair[c, UNKNOWN] == UNKNOWN
+        assert pair[BIG, c] == pair[c, BIG] == BIG
+    assert pair[UNKNOWN, UNKNOWN] == UNKNOWN
+    assert pair[UNKNOWN, BIG] == pair[BIG, UNKNOWN] == pair[BIG, BIG] == BIG
+    assert list(union[-2:]) == [UNKNOWN, UNKNOWN] and list(pw[-2:]) == [UNKNOWN, BIG]
+    assert not mem[-2:].any() and not mem[:, -2:].any()
 
 
 def test_cell_cap_is_a_usage_error():

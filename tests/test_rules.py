@@ -1,5 +1,6 @@
 """Rule catalog: audit against the manifest, instance matching, translation
 consistency of the comprehension characterizations."""
+import dataclasses
 import pathlib
 import re
 from importlib import resources
@@ -10,7 +11,7 @@ from mfbridge import emtt_syntax as pre
 from mfbridge.core import FreshNames, free_vars
 from mfbridge.hat import HatTranslator
 from mfbridge.hf import check_equivalence, enumerate_universe
-from mfbridge.rules import (MatchReport, RuleInstance, RulesError, get_rule,
+from mfbridge.rules import (Judgment, MatchReport, RuleInstance, RulesError, get_rule,
                             instantiate, instantiate_judgment, list_rules,
                             load_catalog, match_instance, parse_instance)
 from mfbridge.set_syntax import TheoryFlavor, Var, subst_set
@@ -145,6 +146,27 @@ def test_instance_freshness_violation():
 """)
     rep = match_instance(inst)
     assert not rep.ok and "fresh" in rep.detail
+
+
+def test_refusals_no_instance_file_can_reach():
+    # parse_instance refuses an unknown schema and an undeclared metavariable
+    # itself, and reads each judgment form with its own arity
+    inst = parse_instance("""
+(instance step3.pair-formation (flavor izf)
+  (sub (a emptyv) (b omegav))
+  (premises (elem emptyv V) (elem omegav V))
+  (conclusion (elem (pairv emptyv omegav) V)))
+""")
+    a, b = inst.substitution["a"], inst.substitution["b"]
+    cases = [
+        (dataclasses.replace(inst, schema_id="step9.nothing"), "no rule with id 'step9.nothing'"),
+        (dataclasses.replace(inst, substitution={"a": a, "b": b, "c": a, "b2": b}),
+         "substitution has undeclared metavariables ['b2', 'c']"),
+        (dataclasses.replace(inst, conclusion=Judgment("elem", inst.conclusion.parts[:1])),
+         "conclusion: judgment arity differs"),
+    ]
+    for bad, detail in cases:
+        assert match_instance(bad) == MatchReport(False, detail)
 
 
 def test_substitution_pattern_instantiation():
