@@ -23,7 +23,9 @@ A node is interned at construction (hash-consing): building a node from the
 same class and field values returns the same object, so identity is equality.
 Only the first build checks the arity, fills the fields and runs the class's
 `__post_init__` validator; a refused node never enters the table, so a later
-build of the same fields finds nothing to check.  A frozen node caches its
+build of the same fields finds nothing to check.  The table holds each node
+weakly, so a node lives only while something else refers to it.  A frozen
+node keeps the field tuple of its first build (`_values()`) and caches its
 `free_vars` and its `fresh_floor`; Node has the one `__repr__`.
 """
 from __future__ import annotations
@@ -32,9 +34,12 @@ import dataclasses
 import functools
 import sys
 import weakref
+from _weakref import _remove_dead_weakref
 
-# (class, *field values) -> the one live node built from them
-_INTERNED = weakref.WeakValueDictionary()
+# (class, *field values) -> a weak reference to the one live node built from them.
+# A plain dict: a node's reference removes its entry when the node dies, unless a
+# node rebuilt under the same key holds the entry by then.
+_INTERNED: dict = {}
 
 
 class Node:
@@ -60,15 +65,16 @@ class Node:
                                 f"got {len(args)} positional and {sorted(kwargs)}")
             args += tuple(kwargs[name] for name in rest)
         key = (cls, *args)
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
         if node is None:
             # a miss: only a node that passes its class's validator enters the table
             if len(args) != len(names):
                 raise TypeError(f"{cls.__qualname__} takes {len(names)} fields, got {len(args)}")
             node = object.__new__(cls)
-            node.__dict__.update(zip(names, args))
+            node.__dict__.update(zip(names, args), _args=args)
             cls.__post_init__(node)
-            _INTERNED[key] = node
+            _INTERNED[key] = weakref.ref(node, lambda _, key=key: _remove_dead_weakref(_INTERNED, key))
         return node
 
     def __post_init__(self):
@@ -85,7 +91,8 @@ class Node:
         return f"{type(self).__qualname__}({fields})"
 
     def _values(self):
-        return [getattr(self, name) for name in self.__match_args__]
+        """The field values in declaration order: the tuple the node was built from."""
+        return self._args
 
 
 @functools.cache

@@ -13,14 +13,24 @@ formula once with the one the derivation derives, up to bound names.
 The bound-erasing map sends a checked derivation to a bounded formula whose
 quantifier bounds are the variables z, which remain free in the output and
 are reported as leftovers.
+
+Each witness step is checked by one sweep of delta over gamma's grid plus z
+that counts delta's true cells along z's axis (`_witness_step`): the report
+that the elaborated `gamma -> exactly one z with delta` gives, over a grid
+with two binder axes fewer.  Nodes are interned and the checks are pure, so
+`k0_reconstruct` keeps its result per derivation and `discharge_obligations`
+its report per obligation statement and rank, in tables with weak keys: an
+entry lives as long as its derivation, and checking a derivation again, as
+`check_sigma_agreement` does after its callers, is a lookup.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 from . import hf
 from .core import FreshNames, Node, alpha_eq, free_vars
-from .hf import Env, SweepReport, _sweep_arrays, check_valid, enumerate_universe
+from .hf import Env, SweepReport, _report, _sweep_arrays, check_valid, enumerate_universe
 from .set_syntax import (And, Bot, Eq, Exists, ExistsUnique, Forall, Imp, Mem,
                          Or, SetFormula, Var, elaborate, is_delta0)
 from .set_syntax import TheoryFlavor
@@ -79,7 +89,7 @@ def _bounded(kind: str, y: str, z: str, body: SetFormula) -> SetFormula:
 class Obligation:
     z: str
     delta: SetFormula
-    formula: SetFormula  # gamma -> exactly one z with delta
+    formula: SetFormula  # Imp(gamma, ExistsUnique(z, delta))
     status: str = "unchecked"  # "unchecked" | "hf_verified" | "refuted"
     rank: int | None = None
     counterexample: Env | None = None
@@ -123,11 +133,24 @@ def _formula(d: K0Node, leftovers: list[str] | None) -> SetFormula:
             raise TypeError(f"not a K0 derivation node: {d!r}")
 
 
+# derivation -> {(phi, gamma): ReconstructResult}
+_RECONSTRUCTED = weakref.WeakKeyDictionary()
+# obligation statement -> {rank: SweepReport}
+_DISCHARGED = weakref.WeakKeyDictionary()
+
+
 def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> ReconstructResult:
     """Walk d in preorder, checking the side conditions of each step under
     gamma, then compare phi once with the formula d derives, up to the names
     of bound variables; return the uniqueness obligations of its bounded
-    steps (in outermost-first order)."""
+    steps (in outermost-first order).  Kept per derivation while it lives."""
+    results = _RECONSTRUCTED.setdefault(d, {})
+    if (phi, gamma) not in results:
+        results[phi, gamma] = _reconstruct(phi, gamma, d)
+    return results[phi, gamma]
+
+
+def _reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> ReconstructResult:
     loose = free_vars(phi) - free_vars(gamma)
     if loose:
         return ReconstructResult(False, mismatch=Mismatch(
@@ -169,9 +192,33 @@ def k0_reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> Reconstruct
 
 
 def _make_obligation(gamma: SetFormula, z: str, delta: SetFormula) -> Obligation:
-    fresh = FreshNames.for_nodes(gamma, delta)
-    formula = elaborate(Imp(gamma, ExistsUnique(z, delta)), fresh)
-    return Obligation(z, delta, formula)
+    return Obligation(z, delta, Imp(gamma, ExistsUnique(z, delta)))
+
+
+def _witness_step(gamma: SetFormula, z: str, delta: SetFormula, U, strict: bool):
+    """Sweep gamma over the grid of its free variables and delta's other than
+    z, and delta over that grid plus z, then count delta's true cells along
+    z's axis.  Returns the grid's variables and, over the grid, gamma's truth,
+    the skip mask (gamma overflows, or delta does at some z), the mask of
+    exactly one z, and the first z where delta holds."""
+    gvars = tuple(sorted(free_vars(gamma) | (free_vars(delta) - {z})))
+    _, g_tr, g_ov = _sweep_arrays(gamma, gvars, U, strict)
+    full, tr, ov = _sweep_arrays(delta, gvars + (z,), U, strict)
+    ax = full.index(z)
+    return gvars, g_tr, g_ov | ov.any(axis=ax), tr.sum(axis=ax) == 1, tr.argmax(axis=ax)
+
+
+def _discharge(statement: SetFormula, rank: int) -> SweepReport:
+    """The strict sweep of `gamma -> exactly one z with delta`, kept per
+    statement and rank: the report `check_valid` gives on its elaboration."""
+    reports = _DISCHARGED.setdefault(statement, {})
+    if rank not in reports:
+        fresh = FreshNames.for_nodes(statement)
+        gamma, delta = elaborate(statement.left, fresh), elaborate(statement.right.body, fresh)
+        gvars, g_tr, skip, one, _ = _witness_step(gamma, statement.right.binder, delta,
+                                                  enumerate_universe(rank), strict=True)
+        reports[rank] = _report(g_tr & ~one & ~skip, skip, gvars)
+    return reports[rank]
 
 
 def discharge_obligations(obligations, rank: int) -> tuple[Obligation, ...]:
@@ -179,10 +226,9 @@ def discharge_obligations(obligations, rank: int) -> tuple[Obligation, ...]:
     as hf_verified at that rank, which is necessary, not sufficient.  Checked
     in strict mode: an environment where the witness escapes the universe is
     skipped, not counted against the obligation."""
-    U = enumerate_universe(rank)
     out = []
     for ob in obligations:
-        rep = check_valid(ob.formula, free_vars(ob.formula), U, strict=True)
+        rep = _discharge(ob.formula, rank)
         if rep.ok:
             out.append(replace(ob, status="hf_verified", rank=rank))
         else:
@@ -248,8 +294,10 @@ def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementR
     exactly one true cell); without one, or if the derived formula or the
     image overflows, the environment is skipped, else it is checked.  On a
     disagreement the counts stop there, and that environment plus its
-    witnesses is the counterexample.  Each formula is one sweep; the image
-    is swept over gamma's grid with the witnesses pinned."""
+    witnesses is the counterexample.  Each formula is one sweep, and each
+    witness one `_witness_step`; the image is swept over gamma's grid with
+    the witnesses pinned.  Reconstruction and discharge that the caller has
+    already run are looked up, not run again."""
     U = enumerate_universe(rank)
     phi = derived_formula(d)
     res = k0_reconstruct(phi, gamma, d)
@@ -261,11 +309,10 @@ def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementR
     counted, skip = g_tr & ~skip, skip.copy()
     pinned = {}
     for ob in res.obligations:
-        full, tr, ov = _sweep_arrays(ob.delta, gvars + (ob.z,), U)
-        ax = full.index(ob.z)
-        lost = counted & ((tr.sum(axis=ax) != 1) | ov.any(axis=ax))
+        _, _, ob_skip, one, witness = _witness_step(gamma, ob.z, ob.delta, U, strict=False)
+        lost = counted & (ob_skip | ~one)
         skip, counted = skip | lost, counted & ~lost
-        pinned[ob.z] = (gvars, tr.argmax(axis=ax))
+        pinned[ob.z] = (gvars, witness)
     _, p_tr, p_ov = _sweep_arrays(phi, gvars, U)
     _, s_tr, s_ov = _sweep_arrays(sg.formula, gvars, U, pinned=pinned)
     lost = counted & (p_ov | s_ov)

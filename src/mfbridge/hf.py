@@ -31,7 +31,7 @@ Two independent engines are provided and cross-checked in the test suite:
     along the binder axis followed by a bit-weighted sum of the kept
     members, so no step loops over cells in Python.  It is the one engine
     every command runs on: check_valid / check_equivalence (the property
-    sweeps and obligation discharge), the k0 agreement check, which pins
+    sweeps), k0 obligation discharge and the k0 agreement check, which pins
     each witness variable to a code array over gamma's grid, and
     `evaluate` (`mfbridge eval`), one sweep with every free variable
     pinned to its value.  Its tables are n x n, so ranks stop at MAX_RANK;
@@ -43,7 +43,8 @@ A sweep evaluates each structurally distinct subtree once: a pre-pass counts
 each node's requests, and its arrays stay in a memo until the last one.  That
 is sound, as the arrays depend only on the subtree, `strict` and `pinned`.
 A formula's overflow mask spans only its overflowing atoms' variables, usually
-none, so the memo rarely holds, and a connective rarely builds, a full-size mask.
+none, so the memo rarely holds, and a connective rarely builds, a full-size mask;
+a separation whose body's mask is empty skips its mask pass altogether.
 
 numpy is imported by the first table build (`Universe.tables()`, which every
 sweep calls first), not at import, so commands that never sweep start without
@@ -433,7 +434,8 @@ class _SweepEngine:
     def _sep(self, x: str, bound: SetTerm, body: SetFormula):
         # gather the bound's membership row along the binder axis, then sum
         # the bits of the members the body keeps; any overflowing member
-        # (or an escaping bound) leaves the value undetermined.  The gather
+        # (or an escaping bound) leaves the value undetermined; a body whose
+        # mask is empty, as nearly every one is, costs no pass.  The gather
         # adds the binder axis next to the bound's, so the binder must not
         # be one of them: Sep keeps it out of the bound's free variables,
         # and `_sweep_arrays` keeps it off the pinned dims
@@ -445,7 +447,9 @@ class _SweepEngine:
         xpos = full.index(x)
         B = _expand(db, vb, out_dims)
         inb = np.moveaxis(self.mem[:self.n, B], 0, xpos)
-        bad = (B < 0) | (inb & _expand(odf, ov, full)).any(axis=xpos)
+        bad = B < 0
+        if odf or ov:
+            bad = bad | (inb & _expand(odf, ov, full)).any(axis=xpos)
         code = np.moveaxis(inb & _expand(df, tr, full), xpos, -1) @ (1 << np.arange(self.n))
         return out_dims, np.where(bad, UNKNOWN, code)
 

@@ -280,6 +280,50 @@ def test_the_intern_table_is_weak():
     assert len(core._INTERNED) <= before
 
 
+def test_the_table_forgets_every_node_once_it_is_dropped():
+    gc.collect()
+    before = len(core._INTERNED)
+    names = [Var(f"dropped{i}") for i in range(50)]
+    nodes = [Exists(n.name, Mem(n, Var("kept"))) for n in names]
+    assert len(core._INTERNED) >= before + 150
+    del names, nodes
+    gc.collect()
+    assert len(core._INTERNED) == before
+
+
+def test_a_stale_reference_leaves_a_rebuilt_node_in_place():
+    # a node that dies leaves a dead reference whose callback may run only after
+    # a node rebuilt under the same key has taken the entry; the callback must
+    # then leave that entry alone
+    key = (Mem, Var("stale"), Var("key"))
+    node = Mem(Var("stale"), Var("key"))
+    old = core._INTERNED[key]
+    forget = old.__callback__
+    del node
+    gc.collect()
+    assert key not in core._INTERNED and old() is None
+    rebuilt = Mem(Var("stale"), Var("key"))
+    forget(old)
+    assert core._INTERNED[key]() is rebuilt and Mem(Var("stale"), Var("key")) is rebuilt
+
+
+def test_values_are_the_fields_given_at_the_first_build():
+    # one node per class of the s-expression registries, built by keyword in
+    # reverse order: `_values()` is still the field tuple in declaration order
+    registry = {**sexp.SET_REGISTRY, **sexp.EMTT_REGISTRY}
+    sample = {str: None}
+    for sort in {s for c in registry.values() for s in core.field_sorts(c)} - {str}:
+        sample[sort] = next(c for c in registry.values()
+                            if issubclass(c, sort) and not dataclasses.fields(c))()
+    for c in registry.values():
+        fields = [f.name for f in dataclasses.fields(c)]
+        args = [sample[s] or f"v{i}" for i, s in enumerate(core.field_sorts(c))]
+        node = c(**dict(reversed(list(zip(fields, args)))))
+        assert type(node._values()) is tuple, c
+        assert node._values() == tuple(args) == tuple(getattr(node, f) for f in fields), c
+        assert c(*args) is node, c
+
+
 def test_a_refused_node_is_refused_again_and_not_kept():
     gc.collect()
     before = len(core._INTERNED)

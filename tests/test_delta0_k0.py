@@ -1,5 +1,6 @@
 """Bounded-class derivations: reconstruction, obligations, bound erasure."""
 import functools
+import gc
 import itertools
 import pathlib
 
@@ -7,16 +8,16 @@ import pytest
 
 from mfbridge import delta0_k0, sexp
 from mfbridge.cli import K0_REGISTRY
-from mfbridge.core import alpha_eq, free_vars
+from mfbridge.core import FreshNames, alpha_eq, free_vars
 from mfbridge.delta0_k0 import (AgreementReport, K0Atom, K0Bounded, K0Conn,
                                 Mismatch, SigmaError, check_separation_lemma,
                                 check_sigma_agreement, derived_formula,
                                 discharge_obligations, k0_reconstruct, sigma)
-from mfbridge.hf import Overflow, enumerate_universe, eval_formula
+from mfbridge.hf import Overflow, check_valid, enumerate_universe, eval_formula
 from mfbridge.parser import parse_set_formula
-from mfbridge.set_syntax import (And, Bot, Empty, Eq, Exists, Forall, Imp, Mem, Or,
-                                 Pair, Pow, TheoryFlavor, Union, Var, elaborate,
-                                 is_delta0, normalize)
+from mfbridge.set_syntax import (And, Bot, Empty, Eq, Exists, ExistsUnique, Forall, Imp,
+                                 Mem, Or, Pair, Pow, Singleton, TheoryFlavor, Union, Var,
+                                 elaborate, is_delta0, normalize)
 
 DATA = pathlib.Path(__file__).parent / "data" / "k0"
 TOP = Imp(Bot(), Bot())
@@ -312,13 +313,90 @@ def test_agreement_matches_reference_on_the_corpus():
         assert rep.ok and (rep.envs_checked, rep.envs_skipped) == CORPUS_COUNTS[name], name
 
 
+OTHER_GAMMAS = ("x in y /\\ y = y", "x = {y, y} /\\ y = y", "Pow(Pow(x)) = Pow(Pow(x)) /\\ y = y")
+
+
 def test_agreement_matches_reference_under_other_gammas():
-    for text in ("x in y /\\ y = y", "x = {y, y} /\\ y = y",
-                 "Pow(Pow(x)) = Pow(Pow(x)) /\\ y = y"):
+    for text in OTHER_GAMMAS:
         gamma = _gamma(text)
         for name, d, _ in _corpus():
             if name not in SLOW:
                 _agree(d, gamma)
+
+
+# -- discharge through the witness step ---------------------------------------
+
+def _elaborated_report(statement, rank: int):
+    """The reference: the strict sweep of the elaborated `gamma -> ex! z. delta`."""
+    claim = elaborate(statement, FreshNames.for_nodes(statement))
+    return check_valid(claim, free_vars(claim), enumerate_universe(rank), strict=True)
+
+
+def test_witness_step_discharge_matches_the_elaborated_claim():
+    z, x = Var("z"), Var("x")
+    # refuted ones, one refuted at rank 3 only, and sugar, which discharge elaborates
+    more = [Mem(z, x), Mem(x, z), Bot(), Eq(Pow(z), x),
+            And(Eq(z, Empty()), Eq(z, Union(Union(x)))), Eq(z, Singleton(x))]
+    deltas = {(ob.z, ob.delta) for _, d, gamma in _corpus()
+              for ob in k0_reconstruct(derived_formula(d), gamma, d).obligations}
+    deltas |= {("z", delta) for delta in more}
+    gammas = [_gamma(text) for text in ("x = x", "x = x /\\ y = y", *OTHER_GAMMAS)]
+    outcomes = set()
+    for gamma in gammas:
+        for zname, delta in sorted(deltas, key=repr):
+            statement = Imp(gamma, ExistsUnique(zname, delta))
+            for rank in (1, 2, 3):
+                rep = delta0_k0._discharge(statement, rank)
+                assert rep == _elaborated_report(statement, rank), (gamma, delta, rank)
+                outcomes.add((rep.ok, rep.skipped > 0))
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_each_check_runs_once_and_its_entries_die_with_the_derivation(monkeypatch):
+    calls = []
+    reconstruct, step = delta0_k0._reconstruct, delta0_k0._witness_step
+
+    def counted_reconstruct(phi, gamma, d):
+        calls.append("reconstruct")
+        return reconstruct(phi, gamma, d)
+
+    def counted_step(gamma, z, delta, U, strict):
+        calls.append(("strict" if strict else "lax", z))
+        return step(gamma, z, delta, U, strict)
+
+    monkeypatch.setattr(delta0_k0, "_reconstruct", counted_reconstruct)
+    monkeypatch.setattr(delta0_k0, "_witness_step", counted_step)
+    gc.collect()
+    before = len(delta0_k0._RECONSTRUCTED), len(delta0_k0._DISCHARGED)
+    x = Var("x")
+    d = K0Bounded("existsIn", "memo1", Eq(Var("memo1"), Pair(x, x)), "w",
+                  K0Bounded("forallIn", "memo2", Eq(Var("memo2"), Union(x)), "v",
+                            K0Atom(Mem(Var("v"), Var("w")))))
+    gamma = _gamma("x = x")
+
+    def run():
+        res = k0_reconstruct(derived_formula(d), gamma, d)
+        sigma(d, discharge_obligations(res.obligations, 3))
+        assert check_sigma_agreement(d, gamma, 3).ok
+        assert calls == ["reconstruct", ("strict", "memo1"), ("strict", "memo2"),
+                         ("lax", "memo1"), ("lax", "memo2")]
+        assert len(delta0_k0._RECONSTRUCTED) == before[0] + 1
+        assert len(delta0_k0._DISCHARGED) == before[1] + 2
+        # each rank keeps its own report, and its obligations say which rank
+        outer = K0Bounded("plain", "memo3", And(Eq(Var("memo3"), Empty()),
+                                               Eq(Var("memo3"), Union(Union(x)))), "_", d)
+        res = k0_reconstruct(derived_formula(outer), gamma, outer)
+        at2, at3 = (discharge_obligations(res.obligations, rank) for rank in (2, 3))
+        assert [(ob.status, ob.rank, ob.counterexample) for ob in at2] == [
+            ("hf_verified", 2, None)] * 3
+        assert [(ob.status, ob.rank, ob.counterexample) for ob in at3] == [
+            ("refuted", 3, {"x": 4}), ("hf_verified", 3, None), ("hf_verified", 3, None)]
+        assert len(delta0_k0._DISCHARGED[res.obligations[0].formula]) == 2
+
+    run()
+    del d
+    gc.collect()
+    assert (len(delta0_k0._RECONSTRUCTED), len(delta0_k0._DISCHARGED)) == before
 
 
 def _bounded_chain(steps, atom):

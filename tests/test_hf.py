@@ -228,6 +228,18 @@ def test_engines_agree_on_shadowing_binders(text, strict):
     _assert_engines_agree(elaborate(parse_set_formula(text)), enumerate_universe(2), strict)
 
 
+# a separation's body mask: empty, everywhere (an atom over no variable whose
+# value escapes V_2), and over variables (a pair that escapes where z has rank 2)
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("text", [
+    "{x in y | x in z} = w",
+    "{x in y | Un(Pow(Pow(Pow(empty)))) = empty} = z",
+    "{x in y | empty in {x, z}} = w",
+])
+def test_engines_agree_on_each_kind_of_separation_mask(text, strict):
+    _assert_engines_agree(parse_set_formula(text), enumerate_universe(2), strict)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100000), st.booleans())
 def test_engines_agree_rank3(seed, strict):
