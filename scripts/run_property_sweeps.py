@@ -14,12 +14,12 @@ from mfbridge import sexp
 from mfbridge.cli import K0_REGISTRY
 from mfbridge.delta0_k0 import SigmaError, check_sigma_agreement
 from mfbridge.parser import parse_set_formula
-from mfbridge.properties import (GenConfig, check_axioms, check_delta_functional,
-                                 check_freevar_contracts, check_oneside,
-                                 check_substitution)
+from mfbridge.properties import PROPERTIES, GenConfig
 from mfbridge.set_syntax import elaborate, normalize
 
 K0_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "k0"
+# acceptance scale: samples per property; oneside also checks 200 terms
+SAMPLES = {"oneside": 500, "deltafun": 300, "subst": 300, "freevars": 1000}
 
 
 def run_corpus(rank: int = 3) -> bool:
@@ -44,18 +44,11 @@ def run_corpus(rank: int = 3) -> bool:
 
 def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 20240801
-    runs = [
-        ("oneside", lambda: check_oneside(GenConfig(seed=seed, sample_count=500),
-                                          term_count=200)),
-        ("deltafun", lambda: check_delta_functional(GenConfig(seed=seed, sample_count=300))),
-        ("subst", lambda: check_substitution(GenConfig(seed=seed, sample_count=300))),
-        ("freevars", lambda: check_freevar_contracts(GenConfig(seed=seed, sample_count=1000))),
-        ("axioms", lambda: check_axioms(GenConfig(seed=seed))),
-    ]
     failed = False
-    for name, run in runs:
+    for name, (check, _) in PROPERTIES.items():
+        cfg = GenConfig(seed=seed, sample_count=SAMPLES.get(name, GenConfig.sample_count))
         t0 = time.monotonic()
-        report = run()
+        report = check(cfg, term_count=200) if name == "oneside" else check(cfg)
         dt = time.monotonic() - t0
         print(report.render())
         print(f"  [{name} took {dt:.2f}s]")

@@ -144,24 +144,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_CHECK_DEFAULTS = {"samples": 500, "rank": 3, "depth": 3, "omega": False}
-_UNREAD = {"axioms": ("samples", "depth", "omega"), "freevars": ("rank",)}  # by each property
+_CHECK_FIELDS = {"samples": "sample_count", "rank": "rank", "depth": "max_depth", "omega": "omega_allowed"}
 
 
 def cmd_check(args) -> int:
-    given = {k for k in _CHECK_DEFAULTS if getattr(args, k) is not None}
-    for k in _CHECK_DEFAULTS.keys() - given:
-        setattr(args, k, _CHECK_DEFAULTS[k])
-    for flag, value, least in (("--samples", args.samples, 1), ("--depth", args.depth, 0)):
+    run, reads = properties.PROPERTIES[args.property]
+    given = [k for k in _CHECK_FIELDS if getattr(args, k) is not None]
+    cfg = properties.GenConfig(seed=args.seed, **{_CHECK_FIELDS[k]: getattr(args, k) for k in given})
+    for flag, value, least in (("--samples", cfg.sample_count, 1), ("--depth", cfg.max_depth, 0)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
-    hf.enumerate_universe(args.rank)  # refuses a rank outside 0..3, even where nothing sweeps
-    unread = [k for k in _UNREAD.get(args.property, ()) if k in given]
+    hf.enumerate_universe(cfg.rank)  # refuses a rank outside 0..3, even where nothing sweeps
+    unread = [k for k in given if k not in reads]
     if unread:
         raise ValueError(f"--{unread[0]} is not read by --property {args.property}")
-    cfg = properties.GenConfig(seed=args.seed, max_depth=args.depth, rank=args.rank,
-                               omega_allowed=args.omega, sample_count=args.samples)
-    report = properties.CHECKS[args.property](cfg)
+    report = run(cfg)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -258,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", help="run a seeded property sweep")
-    p.add_argument("--property", required=True, choices=sorted(properties.CHECKS))
+    p.add_argument("--property", required=True, choices=sorted(properties.PROPERTIES))
     p.add_argument("--seed", type=int, default=default_seed)
-    # defaults in _CHECK_DEFAULTS, so that cmd_check sees which were given
+    # no defaults: cmd_check sees which were given, and GenConfig holds them
     p.add_argument("--samples", type=int)
     p.add_argument("--rank", type=int)
     p.add_argument("--depth", type=int)

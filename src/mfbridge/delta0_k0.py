@@ -90,7 +90,7 @@ class Obligation:
     z: str
     delta: SetFormula
     formula: SetFormula  # Imp(gamma, ExistsUnique(z, delta))
-    status: str = "unchecked"  # "unchecked" | "hf_verified" | "refuted"
+    status: str = "unchecked"  # "unchecked" | "hf_verified" | "vacuous" | "refuted"
     rank: int | None = None
     counterexample: Env | None = None
 
@@ -223,14 +223,15 @@ def _discharge(statement: SetFormula, rank: int) -> SweepReport:
 
 def discharge_obligations(obligations, rank: int) -> tuple[Obligation, ...]:
     """Model-check each uniqueness obligation over V_rank.  A pass is recorded
-    as hf_verified at that rank, which is necessary, not sufficient.  Checked
-    in strict mode: an environment where the witness escapes the universe is
-    skipped, not counted against the obligation."""
+    as hf_verified at that rank, which is necessary, not sufficient, or as
+    vacuous if it skipped every environment.  Checked in strict mode: an
+    environment where the witness escapes the universe is skipped, not
+    counted against the obligation."""
     out = []
     for ob in obligations:
         rep = _discharge(ob.formula, rank)
         if rep.ok:
-            out.append(replace(ob, status="hf_verified", rank=rank))
+            out.append(replace(ob, status="vacuous" if rep.vacuous else "hf_verified", rank=rank))
         else:
             out.append(replace(ob, status="refuted", rank=rank,
                                counterexample=rep.counterexample))

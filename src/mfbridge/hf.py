@@ -506,6 +506,10 @@ class SweepReport:
     def checked(self) -> int:
         return self.total - self.skipped
 
+    @property
+    def vacuous(self) -> bool:  # every environment was skipped: a pass is no evidence
+        return self.checked == 0 < self.total
+
 
 def _sweep_arrays(f: SetFormula, variables: tuple[str, ...], U: Universe,
                   strict: bool = False, pinned=None):

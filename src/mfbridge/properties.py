@@ -1,8 +1,12 @@
 """Seeded random generators and check drivers for the translation properties.
 
-Every check is reproducible from (seed, config).  Checks sweep rank-bounded
-HF environments; a sample whose sweep skips too much to overflow (so a pass
-would be vacuous) or whose grid is over the cell cap is regenerated shallower.
+Every check is reproducible from (seed, config).  `PROPERTIES` declares each
+property once: its runner and the `check` options it reads.  A drawn
+property runs through `_sampled`, where a sample holds one subject per
+component (`freevars` draws three); a subject whose rank-bounded sweep skips
+too much to overflow (so a pass would be vacuous) or whose grid is over the
+cell cap is regenerated shallower, and a failing one is shrunk, each on its
+own.  `check_axioms` sweeps eight fixed forms instead.
 
 One generator, `_g`, draws all five sorts from the node declarations.  It
 draws a class from the sort's pool: `_LEAVES` at depth <= 0, above it the
@@ -24,7 +28,7 @@ Every draw goes through `_Gen.choose`, which records the index it takes, so a
 sample is its list of choice indexes.  A replayed list is read in order, each
 entry clamped to the last index of its pool, then padded with 0 (a leaf, or
 the first name in scope), so every list replays to a well-formed sample.
-`_minimize` shrinks a failing sample's list: shorter prefixes, then single
+`_minimize` shrinks a failing subject's list: shorter prefixes, then single
 entries set to 0 or lowered by one, each taken only if the failure reproduces.
 """
 from __future__ import annotations
@@ -120,24 +124,9 @@ class _Gen:
 
 # -- the generator -------------------------------------------------------------------
 
-def gen_set_term(cfg: GenConfig, index: int = 0, attempt: int = 0) -> fol.SetTerm:
-    return _g(_Gen(cfg, _rng(cfg, index, attempt)), fol.SetTerm, cfg.max_depth, ())
-
-
-def gen_set_formula(cfg: GenConfig, index: int = 0, attempt: int = 0) -> fol.SetFormula:
-    return _g(_Gen(cfg, _rng(cfg, index, attempt)), fol.SetFormula, cfg.max_depth, ())
-
-
-def gen_preterm(cfg: GenConfig, index: int = 0, attempt: int = 0) -> pre.PreTerm:
-    return _g(_Gen(cfg, _rng(cfg, index, attempt)), pre.PreTerm, cfg.max_depth, (), top=True)
-
-
-def gen_preprop(cfg: GenConfig, index: int = 0, attempt: int = 0) -> pre.PreProposition:
-    return _g(_Gen(cfg, _rng(cfg, index, attempt)), pre.PreProposition, cfg.max_depth, ())
-
-
-def gen_precollection(cfg: GenConfig, index: int = 0, attempt: int = 0) -> pre.PreCollection:
-    return _g(_Gen(cfg, _rng(cfg, index, attempt)), pre.PreCollection, cfg.max_depth, ())
+def gen(sort: type, cfg: GenConfig, index: int = 0, attempt: int = 0):
+    """The seeded top-level subject of `sort` that sample `index` draws."""
+    return _subject(sort)(_Gen(cfg, _rng(cfg, index, attempt)), cfg.max_depth)
 
 
 # Each sort's pools; a repeated class is a weight.  `choose` draws by
@@ -189,6 +178,11 @@ def _g(g: _Gen, sort: type, depth: int, scope: tuple[str, ...], top: bool = Fals
             make = _OVERRIDES.get((cls, j), _g)
             vals[j] = make(g, child_sort, below, inner)
     return cls(*vals)
+
+
+def _subject(sort: type):
+    """The draw `(g, depth) -> node` of a top-level subject of `sort`."""
+    return lambda g, depth: _g(g, sort, depth, (), top=True)
 
 
 def _g_closed_preterm(g: _Gen, *_) -> pre.PreTerm:
@@ -276,41 +270,42 @@ def _minimize(choices: list[int], still_fails, budget: int = 150) -> list[int]:
             return choices
 
 
-def _sampled(cfg: GenConfig, draw, check, report: CheckReport, count: int) -> None:
-    """Run `check(subject, U) -> (SweepReport, subject text, detail)` over
-    `count` seeded subjects `draw(g, depth)`, regenerating shallower whenever
-    the sweep skipped too much or went over the cell cap, and minimizing any
-    failing subject before reporting it."""
+def _sampled(cfg: GenConfig, components, report: CheckReport, count: int) -> None:
+    """Run `count` seeded samples; sample i holds one subject per component
+    `(draw, check)`, drawn by `draw(g, depth)` from `_rng(cfg, i, attempt)`,
+    checked by `check(subject, U) -> (SweepReport, subject text, detail)`,
+    regenerated shallower while its sweep skips too much or goes over the
+    cell cap, and minimized before it is reported if it fails."""
     U = enumerate_universe(cfg.rank)
     for i in range(count):
-        attempt = 0
-        depth = cfg.max_depth
-        while True:
-            g = _Gen(cfg, _rng(cfg, i, attempt))
-            subject = draw(g, depth)
-            try:
-                rep, subject_str, detail = check(subject, U)
-            except CellCapError:
-                if depth == 0:
-                    raise
-            else:
-                if not _too_vacuous(rep) or depth == 0:
-                    break
-            attempt += 1
-            depth -= 1
-            report.regenerated += 1
-        report.samples += 1
-        report.skipped_envs += rep.skipped
-        if not rep.ok:
-            def still_fails(choices):
-                try:  # a candidate may have more variables than the sample
-                    r, _, _ = check(draw(_Gen(cfg, choices), depth), U)
+        for draw, check in components:
+            attempt = 0
+            depth = cfg.max_depth
+            while True:
+                g = _Gen(cfg, _rng(cfg, i, attempt))
+                try:
+                    rep, _, detail = check(draw(g, depth), U)
                 except CellCapError:
-                    return False
-                return not r.ok and not _too_vacuous(r)
-            small = draw(_Gen(cfg, _minimize(g.choices, still_fails)), depth)
-            rep2, small_str, detail2 = check(small, U)
-            report.failures.append(Failure(i, small_str, detail2 or detail, rep2.counterexample))
+                    if depth == 0:
+                        raise
+                else:
+                    if not _too_vacuous(rep) or depth == 0:
+                        break
+                attempt += 1
+                depth -= 1
+                report.regenerated += 1
+            report.skipped_envs += rep.skipped
+            if not rep.ok:
+                def still_fails(choices):
+                    try:  # a candidate may have more variables than the sample
+                        r, _, _ = check(draw(_Gen(cfg, choices), depth), U)
+                    except CellCapError:
+                        return False
+                    return not r.ok and not _too_vacuous(r)
+                small = draw(_Gen(cfg, _minimize(g.choices, still_fails)), depth)
+                rep2, small_str, detail2 = check(small, U)
+                report.failures.append(Failure(i, small_str, detail2 or detail, rep2.counterexample))
+        report.samples += 1
 
 
 def check_oneside(cfg: GenConfig, term_count: int | None = None) -> CheckReport:
@@ -329,10 +324,10 @@ def check_oneside(cfg: GenConfig, term_count: int | None = None) -> CheckReport:
         rep = check_equivalence(lhs, img, free_vars(a) | {PLACEHOLDER}, U)
         return rep, print_set(a), "term value description differs from round-trip image"
 
-    _sampled(cfg, lambda g, depth: _g(g, fol.SetFormula, depth, ()), check_formula, report, cfg.sample_count)
+    _sampled(cfg, [(_subject(fol.SetFormula), check_formula)], report, cfg.sample_count)
     if term_count is None:
         term_count = max(1, cfg.sample_count // 2)
-    _sampled(cfg, lambda g, depth: _g(g, fol.SetTerm, depth, ()), check_term, report, term_count)
+    _sampled(cfg, [(_subject(fol.SetTerm), check_term)], report, term_count)
     return report
 
 
@@ -349,7 +344,7 @@ def check_delta_functional(cfg: GenConfig) -> CheckReport:
         rep = check_valid(claim, free_vars(claim), U)
         return rep, print_emtt(tm), "two distinct values satisfy the description"
 
-    _sampled(cfg, lambda g, depth: _g(g, pre.PreTerm, depth, (), top=True), check, report, cfg.sample_count)
+    _sampled(cfg, [(_subject(pre.PreTerm), check)], report, cfg.sample_count)
     return report
 
 
@@ -379,32 +374,30 @@ def check_substitution(cfg: GenConfig) -> CheckReport:
                             sum(r.skipped for r in reps), sum(r.total for r in reps))
         return total, subject, "" if total.ok else f"{trans}-form of the substitution property fails"
 
-    _sampled(cfg, _g_subst, check, report, cfg.sample_count)
+    _sampled(cfg, [(_g_subst, check)], report, cfg.sample_count)
     return report
 
 
 def check_freevar_contracts(cfg: GenConfig) -> CheckReport:
     """free(hat(phi)) == free(phi); the collection and term translations stay
-    within free(input) + the placeholder."""
+    within free(input) + the placeholder.  A sample draws all three inputs."""
     report = CheckReport("freevars")
-    for i in range(cfg.sample_count):
-        report.samples += 1
-        phi = gen_preprop(cfg, i)
-        got = free_vars(HatTranslator(FreshNames.for_nodes(phi)).hat(phi))
-        want = free_vars(phi)
-        if got != want:
-            report.failures.append(Failure(i, print_emtt(phi),
-                                           f"free vars {sorted(got)} != {sorted(want)}"))
-        A = gen_precollection(cfg, i)
-        gotA = free_vars(HatTranslator(FreshNames.for_nodes(A)).eta(A))
-        if not gotA <= free_vars(A) | {PLACEHOLDER}:
-            report.failures.append(Failure(i, print_emtt(A),
-                                           f"collection image leaks variables {sorted(gotA - free_vars(A) - {PLACEHOLDER})}"))
-        tm = gen_preterm(cfg, i)
-        gotT = free_vars(HatTranslator(FreshNames.for_nodes(tm)).delta(tm))
-        if not gotT <= free_vars(tm) | {PLACEHOLDER}:
-            report.failures.append(Failure(i, print_emtt(tm),
-                                           f"term image leaks variables {sorted(gotT - free_vars(tm) - {PLACEHOLDER})}"))
+
+    def contract(trans: str, image: str | None):
+        def check(node, U):
+            got = free_vars(getattr(HatTranslator(FreshNames.for_nodes(node)), trans)(node))
+            want = free_vars(node)
+            if image is None:
+                ok, detail = got == want, f"free vars {sorted(got)} != {sorted(want)}"
+            else:
+                leak = got - want - {PLACEHOLDER}
+                ok, detail = not leak, f"{image} image leaks variables {sorted(leak)}"
+            return SweepReport(ok, None, 0, 1), print_emtt(node), "" if ok else detail
+        return check
+
+    _sampled(cfg, [(_subject(pre.PreProposition), contract("hat", None)),
+                   (_subject(pre.PreCollection), contract("eta", "collection")),
+                   (_subject(pre.PreTerm), contract("delta", "term"))], report, cfg.sample_count)
     return report
 
 
@@ -424,10 +417,12 @@ def check_axioms(cfg: GenConfig) -> CheckReport:
     return report
 
 
-CHECKS = {
-    "oneside": check_oneside,
-    "deltafun": check_delta_functional,
-    "subst": check_substitution,
-    "freevars": check_freevar_contracts,
-    "axioms": check_axioms,
+# property id -> (runner, the `check` options it reads besides --seed), in
+# the order scripts/run_property_sweeps.py runs them
+PROPERTIES = {
+    "oneside": (check_oneside, ("samples", "rank", "depth", "omega")),
+    "deltafun": (check_delta_functional, ("samples", "rank", "depth", "omega")),
+    "subst": (check_substitution, ("samples", "rank", "depth", "omega")),
+    "freevars": (check_freevar_contracts, ("samples", "depth", "omega")),
+    "axioms": (check_axioms, ("rank",)),
 }

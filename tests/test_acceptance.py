@@ -12,20 +12,18 @@ from mfbridge import emtt_syntax as pre
 from mfbridge import sexp
 from mfbridge import set_syntax as fol
 from mfbridge.cli import K0_REGISTRY
-from mfbridge.core import FreshNames, alpha_eq, free_vars
+from mfbridge.core import FreshNames, alpha_eq
 from mfbridge.delta0_k0 import (check_sigma_agreement, derived_formula,
                                 discharge_obligations, k0_reconstruct, sigma)
 from mfbridge.hat import HatTranslator
-from mfbridge.hf import check_equivalence, check_valid, enumerate_universe, standard_axioms
+from mfbridge.hf import check_equivalence, enumerate_universe
 from mfbridge.parser import (parse_collection, parse_prop, parse_set_formula,
                              parse_set_term, parse_term)
 from mfbridge.printer import (print_collection, print_prop, print_set_formula,
                               print_set_term, print_term)
-from mfbridge.properties import (GenConfig, check_delta_functional,
+from mfbridge.properties import (GenConfig, check_axioms, check_delta_functional,
                                  check_freevar_contracts, check_oneside,
-                                 check_substitution, gen_precollection,
-                                 gen_preprop, gen_preterm, gen_set_formula,
-                                 gen_set_term)
+                                 check_substitution, gen)
 from mfbridge.rules import get_rule, instantiate_judgment, list_rules
 from mfbridge.set_syntax import TheoryFlavor, elaborate, flavor_check, is_delta0
 
@@ -80,22 +78,16 @@ def test_criterion_4_free_variable_contract():
     report = check_freevar_contracts(GenConfig(seed=SEED, max_depth=3,
                                                sample_count=1000))
     ok = report.ok and report.samples == 1000
+    ok = ok and report.render() == ("property freevars: ok (1000 samples, "
+                                    "0 overflow-skipped envs, 0 regenerated)")
     _line(4, "free-variable contract", ok,
           f"({report.samples} samples)" if ok else report.render())
 
 
 def test_criterion_5_axiom_sanity():
-    U = enumerate_universe(RANK)
-    bad, skipped = [], 0
-    for name, ax in standard_axioms():
-        rep = check_valid(ax, free_vars(ax), U)
-        skipped += rep.skipped
-        if not rep.ok:
-            bad.append(name)
-    if skipped != 4032:
-        bad.append(f"{skipped} skipped environments, not 4032")
-    _line(5, "axiom sanity", not bad, f"({len(standard_axioms())} axiom forms)"
-          if not bad else f"failing: {bad}")
+    report = check_axioms(GenConfig(seed=SEED, rank=RANK))
+    ok = report.render() == "property axioms: ok (8 samples, 4032 overflow-skipped envs, 0 regenerated)"
+    _line(5, "axiom sanity", ok, f"({report.samples} axiom forms)" if ok else report.render())
 
 
 # 30-case golden corpus for the bounded-fragment and flavor classifier,
@@ -207,21 +199,21 @@ def test_criterion_9_parser_round_trip():
     failures = 0
     cfg = GenConfig(seed=SEED, max_depth=4, omega_allowed=True, deep_el_list=True)
     for i in range(500):
-        f = gen_set_formula(cfg, i)
+        f = gen(fol.SetFormula, cfg, i)
         if not alpha_eq(parse_set_formula(print_set_formula(f)), f):
             failures += 1
-        t = gen_set_term(cfg, i)
+        t = gen(fol.SetTerm, cfg, i)
         if not alpha_eq(parse_set_term(print_set_term(t)), t):
             failures += 1
     for i in range(334):
-        p = gen_preprop(cfg, i)
+        p = gen(pre.PreProposition, cfg, i)
         if not alpha_eq(parse_prop(print_prop(p)), p):
             failures += 1
     for i in range(333):
-        t = gen_preterm(cfg, i)
+        t = gen(pre.PreTerm, cfg, i)
         if not alpha_eq(parse_term(print_term(t)), t):
             failures += 1
-        c = gen_precollection(cfg, i)
+        c = gen(pre.PreCollection, cfg, i)
         if not alpha_eq(parse_collection(print_collection(c)), c):
             failures += 1
     _line(9, "parser round trip", failures == 0,

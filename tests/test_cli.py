@@ -14,6 +14,7 @@ import time
 import pytest
 
 import mfbridge
+from mfbridge import emtt_syntax as pre
 from mfbridge import properties, set_syntax as fol
 from mfbridge.cli import main
 from mfbridge.core import free_vars
@@ -185,10 +186,11 @@ def test_check_axioms_renders_a_failing_report(monkeypatch, capsys):
         "    env: x={}, y={}\n")
 
 
+# every subject fails, so each shrinks to the first leaf of its sort
 @pytest.mark.parametrize("method, detail, subject", [
-    ("hat", "free vars ['leak'] != []", "tt eps eps"),
-    ("eta", "collection image leaks variables ['leak']", "V"),
-    ("delta", "term image leaks variables ['leak']", "eps"),
+    ("hat", "free vars ['leak'] != []", "bot"),
+    ("eta", "collection image leaks variables ['leak']", "N0"),
+    ("delta", "term image leaks variables ['leak']", "x"),
 ])
 def test_check_freevars_renders_a_leaked_variable(monkeypatch, capsys, method, detail, subject):
     translate = getattr(HatTranslator, method)
@@ -198,6 +200,17 @@ def test_check_freevars_renders_a_leaked_variable(monkeypatch, capsys, method, d
     assert (code, err) == (1, "")
     assert out == ("property freevars: FAIL (1 samples, 0 overflow-skipped envs, 0 regenerated)\n"
                    f"  sample 0: {detail}\n    input: {subject}\n")
+
+
+def test_check_subst_renders_a_failing_sample(monkeypatch, capsys):
+    # substitution left undone: the first failing form ends the sample's checks
+    monkeypatch.setattr(pre, "subst_emtt", lambda node, x, t, fresh=None: node)
+    code, out, err = run(capsys, "check", "--property", "subst", "--seed", "3", "--samples", "4")
+    assert (code, err) == (1, "")
+    assert out == ("property subst: FAIL (4 samples, 4096 overflow-skipped envs, 0 regenerated)\n"
+                   "  sample 3: delta-form of the substitution property fails\n"
+                   "    input: t=star  a=x  A=N0  phi=bot  x=x\n"
+                   "    env: u={}, v#1={}, x={{}}\n")
 
 
 def test_check_output_does_not_depend_on_the_hash_seed():
@@ -317,6 +330,16 @@ def test_sigma_refuted_obligation(tmp_path, capsys):
     g = _write(tmp_path, "g.fm", "x = x")
     code, out, _ = run(capsys, "sigma", "--derivation", bad, "--gamma", g)
     assert code == 1 and "refuted" in out
+
+
+def test_sigma_refuses_a_vacuous_obligation(tmp_path, capsys):
+    # Pow(z) overflows at every top-rank z, so the strict sweep skips all 16
+    # environments: a pass that checked nothing
+    d = _write(tmp_path, "vacuous.k0", "(K0Bounded existsIn z (Eq (Pow (Var z)) (Var x)) y "
+                                       "(K0Atom (Mem (Var y) (Var x))))")
+    g = _write(tmp_path, "g.fm", "x = x")
+    code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
+    assert (code, out, err) == (1, "obligation for z: vacuous at rank 3\n", "")
 
 
 def test_sigma_rejects_witness_capture(tmp_path, capsys):
@@ -632,15 +655,14 @@ def _fuzz_corpus() -> dict[str, list[tuple[str, ...]]]:
     instances."""
     from mfbridge import sexp
     from mfbridge.printer import print_emtt, print_set
-    from mfbridge.properties import (GenConfig, gen_precollection, gen_preprop,
-                                     gen_preterm, gen_set_formula, gen_set_term)
+    from mfbridge.properties import GenConfig, gen
     corpus = {"set": [], "emtt": [], "k0": [], "rules": [(t,) for t in _RULE_INSTANCES]}
     for seed in range(12):
         cfg = GenConfig(seed=seed, max_depth=2)
-        f = gen_set_formula(cfg)
-        corpus["set"] += [(print_set(f),), (print_set(gen_set_term(cfg)),)]
-        corpus["emtt"] += [(print_emtt(gen(cfg)),)
-                           for gen in (gen_preprop, gen_preterm, gen_precollection)]
+        f = gen(fol.SetFormula, cfg)
+        corpus["set"] += [(print_set(f),), (print_set(gen(fol.SetTerm, cfg)),)]
+        corpus["emtt"] += [(print_emtt(gen(sort, cfg)),)
+                           for sort in (pre.PreProposition, pre.PreTerm, pre.PreCollection)]
         if seed < 4:
             corpus["k0"].append((f"(K0Atom {sexp.dumps(f)})", "x = x /\\ y = y /\\ z = z"))
     for d in sorted((DATA / "k0").glob("*.k0")):

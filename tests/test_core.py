@@ -19,7 +19,7 @@ from mfbridge.parser import (parse_collection, parse_prop, parse_set_formula, pa
 from mfbridge.printer import (print_collection, print_prop, print_set_formula, print_set_term,
                               print_term)
 from mfbridge.set_syntax import (And, Bot, Eq, Exists, Forall, Imp, Mem, Omega,
-                                 Empty, Sep, SetFormula, Var)
+                                 Empty, Sep, SetFormula, SetTerm, Var)
 
 
 def test_fresh_names_deterministic():
@@ -83,8 +83,8 @@ def test_normalize_binders_renames_duplicates():
 # seed-driven random structural properties
 
 def _rand_formula(seed: int, depth: int = 3):
-    from mfbridge.properties import GenConfig, gen_set_formula
-    return gen_set_formula(GenConfig(seed=seed, max_depth=depth))
+    from mfbridge.properties import GenConfig, gen
+    return gen(SetFormula, GenConfig(seed=seed, max_depth=depth))
 
 
 @given(st.integers(0, 5000))
@@ -146,8 +146,8 @@ def _walk_free_vars(node):
 def _all_sorts(seed):
     from mfbridge import properties as p
     cfg = p.GenConfig(seed=seed, max_depth=3)
-    return [gen(cfg, i) for i, gen in enumerate((p.gen_set_term, p.gen_set_formula, p.gen_preterm,
-                                                 p.gen_precollection, p.gen_preprop))]
+    return [p.gen(sort, cfg, i) for i, sort in enumerate((SetTerm, SetFormula, pre.PreTerm,
+                                                          pre.PreCollection, pre.PreProposition))]
 
 
 def _clashing(node, scope=None, turn=None):

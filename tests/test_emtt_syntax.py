@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from mfbridge.core import alpha_eq, free_vars
 from mfbridge.emtt_syntax import (BotP, Compr, ElList, EpsTerm, EqP, Lam,
-                                  PreContext, Quot, SepV, Sigma, Pi, UnivV,
+                                  PreContext, PreProposition, PreTerm, Quot,
+                                  SepV, Sigma, Pi, UnivV,
                                   Var, N1, EmptyV, OmegaV, precontext_wf,
                                   subst_emtt, alpha_eq_emtt, normalize)
 
@@ -86,8 +87,8 @@ def test_precontext_wf():
 
 @given(st.integers(0, 4000))
 def test_normalize_preserves_alpha_class(seed):
-    from mfbridge.properties import GenConfig, gen_preterm
-    t = gen_preterm(GenConfig(seed=seed))
+    from mfbridge.properties import GenConfig, gen
+    t = gen(PreTerm, GenConfig(seed=seed))
     n = normalize(t)
     assert alpha_eq_emtt(t, n)
     assert free_vars(t) == free_vars(n)
@@ -95,8 +96,8 @@ def test_normalize_preserves_alpha_class(seed):
 
 @given(st.integers(0, 4000))
 def test_subst_free_var_algebra(seed):
-    from mfbridge.properties import GenConfig, gen_preprop
-    p = gen_preprop(GenConfig(seed=seed))
+    from mfbridge.properties import GenConfig, gen
+    p = gen(PreProposition, GenConfig(seed=seed))
     fv = free_vars(p)
     for x in sorted(fv)[:2]:
         got = free_vars(subst_emtt(p, x, Var("q")))

@@ -12,8 +12,7 @@ from mfbridge.hat import PLACEHOLDER, HatTranslator, delta, eta, hat, hat_contex
 from mfbridge.hf import check_equivalence, check_valid, enumerate_universe
 from mfbridge.parser import parse_set_formula
 from mfbridge.printer import print_emtt, print_set
-from mfbridge.properties import (GenConfig, gen_precollection, gen_preprop, gen_preterm,
-                                 gen_set_formula, gen_set_term)
+from mfbridge.properties import GenConfig, gen
 from mfbridge.set_syntax import (And, Bot, Empty, Eq, Exists, Forall, Imp, Mem,
                                  Omega, Union, Var)
 from mfbridge.tilde import TranslationError, tilde
@@ -108,12 +107,12 @@ def test_placeholder_rejected():
 def _translation_images(seeds):
     for seed in seeds:
         cfg = GenConfig(seed=seed, max_depth=3, deep_el_list=seed % 2 == 1)
-        yield print_emtt(tilde(gen_set_formula(cfg, 0)))
-        yield print_emtt(tilde(gen_set_term(cfg, 1)))
-        yield print_set(eta(gen_precollection(cfg, 2)))
-        yield print_set(delta(gen_preterm(cfg, 3)))
-        yield print_set(hat(gen_preprop(cfg, 4)))
-        ctx = pre.PreContext(tuple((f"c{i}", gen_precollection(cfg, 5 + i)) for i in range(2)))
+        yield print_emtt(tilde(gen(fol.SetFormula, cfg, 0)))
+        yield print_emtt(tilde(gen(fol.SetTerm, cfg, 1)))
+        yield print_set(eta(gen(pre.PreCollection, cfg, 2)))
+        yield print_set(delta(gen(pre.PreTerm, cfg, 3)))
+        yield print_set(hat(gen(pre.PreProposition, cfg, 4)))
+        ctx = pre.PreContext(tuple((f"c{i}", gen(pre.PreCollection, cfg, 5 + i)) for i in range(2)))
         yield print_set(hat_context(ctx))
 
 
@@ -126,12 +125,12 @@ def test_translation_images_are_pinned():
 
 def test_output_always_core():
     for seed in range(40):
-        tr = gen_preterm(GenConfig(seed=seed, max_depth=3, deep_el_list=True))
+        tr = gen(pre.PreTerm, GenConfig(seed=seed, max_depth=3, deep_el_list=True))
         assert fol.is_core(delta(tr))
 
 
 def test_determinism():
-    t = gen_preterm(GenConfig(seed=5, max_depth=3))
+    t = gen(pre.PreTerm, GenConfig(seed=5, max_depth=3))
     assert delta(t) == delta(t)
 
 
@@ -274,9 +273,9 @@ def test_fun_pow_one_matches_pi():
 @given(st.integers(0, 10 ** 6))
 def test_images_stay_within_contract(seed):
     cfg = GenConfig(seed=seed, max_depth=3)
-    A = gen_precollection(cfg, 0)
+    A = gen(pre.PreCollection, cfg, 0)
     assert free_vars(eta(A)) <= free_vars(A) | {PLACEHOLDER}
-    t = gen_preterm(cfg, 1)
+    t = gen(pre.PreTerm, cfg, 1)
     assert free_vars(delta(t)) <= free_vars(t) | {PLACEHOLDER}
-    p = gen_preprop(cfg, 2)
+    p = gen(pre.PreProposition, cfg, 2)
     assert free_vars(hat(p)) == free_vars(p)

@@ -15,7 +15,7 @@ from mfbridge.hf import (BIG, EMPTY, UNKNOWN, EvalError, Overflow, check_equival
                          members, nat, parse_env, parse_hf, print_hf, rank, standard_axioms)
 from mfbridge.parser import parse_set, parse_set_formula, parse_set_term
 from mfbridge.set_syntax import (And, Bot, Empty, Eq, Forall, Imp, Mem, Omega, Pair,
-                                 Pow, Sep, SetTerm, Union, Var, elaborate)
+                                 Pow, Sep, SetFormula, SetTerm, Union, Var, elaborate)
 from mfbridge.tilde import tilde_formula, tilde_term
 
 
@@ -207,8 +207,8 @@ def _assert_engines_agree(f, U, strict):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100000), st.booleans())
 def test_engines_agree(seed, strict):
-    from mfbridge.properties import GenConfig, gen_set_formula
-    f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=3)))
+    from mfbridge.properties import GenConfig, gen
+    f = elaborate(gen(SetFormula, GenConfig(seed=seed, max_depth=3)))
     _assert_engines_agree(f, enumerate_universe(2), strict)
 
 
@@ -243,8 +243,8 @@ def test_engines_agree_on_each_kind_of_separation_mask(text, strict):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100000), st.booleans())
 def test_engines_agree_rank3(seed, strict):
-    from mfbridge.properties import GenConfig, gen_set_formula
-    f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2)))
+    from mfbridge.properties import GenConfig, gen
+    f = elaborate(gen(SetFormula, GenConfig(seed=seed, max_depth=2)))
     _assert_engines_agree(f, enumerate_universe(3), strict)
 
 
@@ -252,9 +252,9 @@ def test_engines_agree_rank3(seed, strict):
 # equivalence claim built as check_oneside builds it
 
 def _round_trip_claims(seed):
-    from mfbridge.properties import GenConfig, gen_set_formula, gen_set_term
+    from mfbridge.properties import GenConfig, gen
     cfg = GenConfig(seed=seed, max_depth=1)
-    psi, a = gen_set_formula(cfg), gen_set_term(cfg)
+    psi, a = gen(SetFormula, cfg), gen(SetTerm, cfg)
     psi_img = HatTranslator(FreshNames.for_nodes(psi)).hat(tilde_formula(psi))
     a_img = HatTranslator(FreshNames.for_nodes(a)).delta(tilde_term(a))
     iff = lambda f, g: And(Imp(f, g), Imp(g, f))
@@ -287,14 +287,14 @@ def _assert_evaluate_agrees(node, env, U):
 
 
 def test_evaluate_agrees_with_the_reference():
-    from mfbridge.properties import GenConfig, gen_set_formula, gen_set_term
+    from mfbridge.properties import GenConfig, gen
     seen = set()
     for seed in range(600):
         U = enumerate_universe(seed % 4)
         cfg = GenConfig(seed=seed, max_depth=3, omega_allowed=seed % 3 == 0)
         rng = random.Random(seed)
-        for gen in (gen_set_term, gen_set_formula):
-            node = elaborate(gen(cfg))
+        for sort in (SetTerm, SetFormula):
+            node = elaborate(gen(sort, cfg))
             # bound names get env values too, which their binders must shadow
             env = {x: rng.choice(U.elements) for x in sorted(all_names(node))}
             got = _assert_evaluate_agrees(node, env, U)
@@ -327,11 +327,11 @@ def _subst_shaped_claims():
     i = Eq(Sep("w", shared, body), Var("y"))
     dt = Mem(Var("v"), Pow(Var("y")))
     claims = [Imp(dt, And(Imp(s, i), Imp(i, s)))]
-    from mfbridge.properties import GenConfig, gen_set_formula, gen_set_term
+    from mfbridge.properties import GenConfig, gen
     seed = 0
     while len(claims) < 7:
         cfg = GenConfig(seed=seed, max_depth=3)
-        f, t = elaborate(gen_set_formula(cfg)), elaborate(gen_set_term(cfg, 1))
+        f, t = elaborate(gen(SetFormula, cfg)), elaborate(gen(SetTerm, cfg, 1))
         seed += 1
         if free_vars(f) and len(free_vars(f) | free_vars(t)) <= 4:
             x = sorted(free_vars(f))[0]
@@ -391,11 +391,11 @@ def test_an_overflow_mask_spans_only_its_overflowing_atoms(strict):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_check_equivalence_matches_two_separate_sweeps(seed):
-    from mfbridge.properties import GenConfig, gen_set_formula
+    from mfbridge.properties import GenConfig, gen
     U = enumerate_universe(2)
-    f = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2)))
-    g = elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2), 1))
-    for a, b in ((f, g), (f, f), (f, elaborate(gen_set_formula(GenConfig(seed=seed, max_depth=2))))):
+    f = elaborate(gen(SetFormula, GenConfig(seed=seed, max_depth=2)))
+    g = elaborate(gen(SetFormula, GenConfig(seed=seed, max_depth=2), 1))
+    for a, b in ((f, g), (f, f), (f, elaborate(gen(SetFormula, GenConfig(seed=seed, max_depth=2))))):
         variables = sorted(free_vars(a) | free_vars(b))
         full, t1, o1 = hf._sweep_arrays(a, variables, U)
         _, t2, o2 = hf._sweep_arrays(b, variables, U)

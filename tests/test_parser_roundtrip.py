@@ -13,8 +13,7 @@ from mfbridge.parser import (ParseError, parse_collection, parse_context,
 from mfbridge.printer import (NOTATION, print_collection, print_context,
                               print_prop, print_set, print_set_formula,
                               print_set_term, print_term)
-from mfbridge.properties import (GenConfig, gen_precollection, gen_preprop,
-                                 gen_preterm, gen_set_formula, gen_set_term)
+from mfbridge.properties import GenConfig, gen
 from mfbridge import emtt_syntax as pre
 from mfbridge import set_syntax as fol
 
@@ -149,9 +148,9 @@ def test_notation_covers_every_node_class():
 @given(st.integers(0, 10 ** 6))
 def test_set_round_trip(seed):
     cfg = GenConfig(seed=seed, max_depth=4, omega_allowed=True)
-    f = gen_set_formula(cfg)
+    f = gen(fol.SetFormula, cfg)
     assert parse_set_formula(print_set_formula(f)) == f
-    t = gen_set_term(cfg)
+    t = gen(fol.SetTerm, cfg)
     assert parse_set_term(print_set_term(t)) == t
 
 
@@ -159,11 +158,11 @@ def test_set_round_trip(seed):
 @given(st.integers(0, 10 ** 6))
 def test_emtt_round_trip(seed):
     cfg = GenConfig(seed=seed, max_depth=4, omega_allowed=True, deep_el_list=True)
-    p = gen_preprop(cfg)
+    p = gen(pre.PreProposition, cfg)
     assert parse_prop(print_prop(p)) == p
-    t = gen_preterm(cfg)
+    t = gen(pre.PreTerm, cfg)
     assert parse_term(print_term(t)) == t
-    c = gen_precollection(cfg)
+    c = gen(pre.PreCollection, cfg)
     assert parse_collection(print_collection(c)) == c
 
 
@@ -171,7 +170,7 @@ def test_emtt_round_trip(seed):
 @given(st.integers(0, 10 ** 6))
 def test_printing_idempotent(seed):
     cfg = GenConfig(seed=seed, max_depth=3)
-    f = gen_set_formula(cfg)
+    f = gen(fol.SetFormula, cfg)
     s = print_set_formula(f)
     assert print_set_formula(parse_set_formula(s)) == s
 
@@ -187,9 +186,9 @@ def test_machine_names_reparse():
 @given(st.integers(0, 10 ** 6))
 def test_sexp_round_trip(seed):
     cfg = GenConfig(seed=seed, max_depth=3, deep_el_list=True)
-    f = gen_set_formula(cfg)
+    f = gen(fol.SetFormula, cfg)
     assert sexp.loads(sexp.dumps(f), sexp.SET_REGISTRY) == f
-    t = gen_preterm(cfg)
+    t = gen(pre.PreTerm, cfg)
     assert sexp.loads(sexp.dumps(t), sexp.EMTT_REGISTRY) == t
 
 

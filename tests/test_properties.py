@@ -6,64 +6,63 @@ import pytest
 from mfbridge import emtt_syntax as pre
 from mfbridge import set_syntax as fol
 from mfbridge.core import bound_vars, free_vars, walk
-from mfbridge.properties import (CHECKS, VARIABLES, GenConfig, _g, _g_subst, _Gen,
+from mfbridge.properties import (PROPERTIES, VARIABLES, GenConfig, _g, _g_subst, _Gen,
                                  _rng, check_axioms, check_delta_functional,
                                  check_freevar_contracts, check_oneside,
-                                 check_substitution, gen_precollection, gen_preprop,
-                                 gen_preterm, gen_set_formula, gen_set_term)
+                                 check_substitution, gen)
 
-# sort -> (draw(g, depth) at the top level, the public generator of the sort)
+# sort -> draw(g, depth) at the top level, as `gen(sort, ...)` draws it
 DRAWS = {
-    fol.SetFormula: (lambda g, depth: _g(g, fol.SetFormula, depth, ()), gen_set_formula),
-    fol.SetTerm: (lambda g, depth: _g(g, fol.SetTerm, depth, ()), gen_set_term),
-    pre.PreTerm: (lambda g, depth: _g(g, pre.PreTerm, depth, (), top=True), gen_preterm),
-    pre.PreProposition: (lambda g, depth: _g(g, pre.PreProposition, depth, ()), gen_preprop),
-    pre.PreCollection: (lambda g, depth: _g(g, pre.PreCollection, depth, ()), gen_precollection),
+    fol.SetFormula: lambda g, depth: _g(g, fol.SetFormula, depth, ()),
+    fol.SetTerm: lambda g, depth: _g(g, fol.SetTerm, depth, ()),
+    pre.PreTerm: lambda g, depth: _g(g, pre.PreTerm, depth, (), top=True),
+    pre.PreProposition: lambda g, depth: _g(g, pre.PreProposition, depth, ()),
+    pre.PreCollection: lambda g, depth: _g(g, pre.PreCollection, depth, ()),
 }
 
 
 def test_depth_zero_formula_is_atomic():
     for seed in range(20):
-        f = gen_set_formula(GenConfig(seed=seed, max_depth=0))
+        f = gen(fol.SetFormula, GenConfig(seed=seed, max_depth=0))
         assert isinstance(f, (fol.Bot, fol.Eq, fol.Mem))
 
 
 def test_generators_deterministic():
     cfg = GenConfig(seed=99, max_depth=3)
-    assert gen_set_formula(cfg, 5) == gen_set_formula(cfg, 5)
-    assert gen_preterm(cfg, 5) == gen_preterm(cfg, 5)
-    assert len({gen_set_formula(cfg, i) for i in range(10)}) > 1  # indexes vary
+    assert gen(fol.SetFormula, cfg, 5) == gen(fol.SetFormula, cfg, 5)
+    assert gen(pre.PreTerm, cfg, 5) == gen(pre.PreTerm, cfg, 5)
+    assert len({gen(fol.SetFormula, cfg, i) for i in range(10)}) > 1  # indexes vary
 
 
 def test_generated_asts_are_binder_clean():
     cfg = GenConfig(seed=3, max_depth=4)
     for i in range(50):
-        f = gen_set_formula(cfg, i)
+        f = gen(fol.SetFormula, cfg, i)
         assert not (free_vars(f) & bound_vars(f))
-        t = gen_preterm(cfg, i)
+        t = gen(pre.PreTerm, cfg, i)
         assert not (free_vars(t) & bound_vars(t))
 
 
 def test_omega_excluded_by_default():
     cfg = GenConfig(seed=1, max_depth=4)
     for i in range(100):
-        for node in walk(gen_set_formula(cfg, i)):
+        for node in walk(gen(fol.SetFormula, cfg, i)):
             assert not isinstance(node, fol.Omega)
-        for node in walk(gen_preterm(cfg, i)):
+        for node in walk(gen(pre.PreTerm, cfg, i)):
             assert not isinstance(node, pre.OmegaV)
 
 
 def test_omega_opt_in():
     cfg = GenConfig(seed=1, max_depth=4, omega_allowed=True)
     assert any(isinstance(n, fol.Omega)
-               for i in range(100) for n in walk(gen_set_formula(cfg, i)))
+               for i in range(100) for n in walk(gen(fol.SetFormula, cfg, i)))
 
 
 def test_formula_constructor_coverage():
     cfg = GenConfig(seed=0, max_depth=4)
     seen = set()
     for i in range(1000):
-        for node in walk(gen_set_formula(cfg, i)):
+        for node in walk(gen(fol.SetFormula, cfg, i)):
             seen.add(type(node))
     for cls in (fol.Bot, fol.Eq, fol.Mem, fol.And, fol.Or, fol.Imp,
                 fol.Forall, fol.Exists, fol.Var, fol.Empty, fol.Pair,
@@ -75,11 +74,11 @@ def test_preterm_constructor_coverage():
     cfg = GenConfig(seed=0, max_depth=4, omega_allowed=True)
     seen = set()
     for i in range(1500):
-        for node in walk(gen_preterm(cfg, i)):
+        for node in walk(gen(pre.PreTerm, cfg, i)):
             seen.add(type(node))
-        for node in walk(gen_precollection(cfg, i)):
+        for node in walk(gen(pre.PreCollection, cfg, i)):
             seen.add(type(node))
-        for node in walk(gen_preprop(cfg, i)):
+        for node in walk(gen(pre.PreProposition, cfg, i)):
             seen.add(type(node))
     missing = []
     for name in dir(pre):
@@ -93,7 +92,7 @@ def test_preterm_constructor_coverage():
 def test_el_list_only_at_top_by_default():
     cfg = GenConfig(seed=0, max_depth=4)
     for i in range(500):
-        t = gen_preterm(cfg, i)
+        t = gen(pre.PreTerm, cfg, i)
         for node in walk(t):
             if isinstance(node, pre.ElList) and node is not t:
                 raise AssertionError("nested recursion eliminator in default profile")
@@ -102,8 +101,8 @@ def test_el_list_only_at_top_by_default():
 def test_sep_guard_respected_by_generator():
     cfg = GenConfig(seed=0, max_depth=5)
     for i in range(300):
-        gen_set_term(cfg, i)  # Sep construction would raise on guard violation
-        gen_preterm(cfg, i)
+        gen(fol.SetTerm, cfg, i)  # Sep construction would raise on guard violation
+        gen(pre.PreTerm, cfg, i)
 
 
 def test_small_checks_pass():
@@ -135,7 +134,7 @@ def test_failure_detection_is_real():
 
 
 def test_checks_registry():
-    assert set(CHECKS) == {"oneside", "deltafun", "subst", "freevars", "axioms"}
+    assert set(PROPERTIES) == {"oneside", "deltafun", "subst", "freevars", "axioms"}
 
 
 def _assert_well_formed(node, sort):
@@ -148,10 +147,10 @@ def _assert_well_formed(node, sort):
 def test_recorded_choices_replay_to_the_same_sample():
     for seed, i in ((7, 1), (7, 2), (20240801, 5), (3, 0)):
         cfg = GenConfig(seed=seed, max_depth=4, omega_allowed=True, deep_el_list=True)
-        for draw, gen in DRAWS.values():
+        for sort, draw in DRAWS.items():
             g = _Gen(cfg, _rng(cfg, i))
             node = draw(g, cfg.max_depth)
-            assert node is gen(cfg, i)
+            assert node is gen(sort, cfg, i)
             assert draw(_Gen(cfg, g.choices), cfg.max_depth) is node
         g = _Gen(cfg, _rng(cfg, i))
         sample = _g_subst(g, 3)
@@ -173,7 +172,7 @@ def test_any_choice_list_replays_to_a_well_formed_sample():
     lists += [c[:n] for c in recorded for n in (0, len(c) // 3, len(c) // 2, len(c) - 1)]
     for choices in lists:
         for depth in range(4):
-            for sort, (draw, _) in DRAWS.items():
+            for sort, draw in DRAWS.items():
                 _assert_well_formed(draw(_Gen(cfg, choices), depth), sort)
             t, a, A, phi, x = _g_subst(_Gen(cfg, choices), depth)
             for node, sort in ((t, pre.PreTerm), (a, pre.PreTerm), (A, pre.PreCollection),
@@ -186,7 +185,7 @@ def test_minimizer_shrinks_to_small_failing_core():
     from mfbridge.core import node_size
     from mfbridge.properties import _minimize
     cfg = GenConfig(seed=4, max_depth=4)
-    draw = DRAWS[fol.SetFormula][0]
+    draw = DRAWS[fol.SetFormula]
     replay = lambda choices: draw(_Gen(cfg, choices), cfg.max_depth)
     g = _Gen(cfg, _rng(cfg, 0))
     big = draw(g, cfg.max_depth)
@@ -199,11 +198,40 @@ def test_minimizer_shrinks_to_small_failing_core():
     assert node_size(small) <= node_size(big)
 
 
+def test_minimizer_stops_at_its_budget():
+    from mfbridge.properties import _minimize
+    tried = []
+
+    def still_fails(choices):
+        tried.append(choices)
+        return sum(choices) > 0
+
+    # unbounded, the shrink would go on to [1]
+    assert _minimize([3, 3, 3], still_fails, budget=4) == [2]
+    assert tried == [[], [3], [0], [2]]
+
+
+def test_freevars_checks_the_generator_subjects(monkeypatch):
+    # a sample's three subjects are the ones `gen` draws at its index
+    from mfbridge.hat import HatTranslator
+    seen = []
+
+    def recorded(translate):
+        return lambda self, node: seen.append(node) or translate(self, node)
+
+    for name in ("hat", "eta", "delta"):
+        monkeypatch.setattr(HatTranslator, name, recorded(getattr(HatTranslator, name)))
+    cfg = GenConfig(seed=20240801, sample_count=40)
+    assert check_freevar_contracts(cfg).ok
+    assert seen == [gen(sort, cfg, i) for i in range(40)
+                    for sort in (pre.PreProposition, pre.PreCollection, pre.PreTerm)]
+
+
 def test_minimizer_respects_well_formedness():
     from mfbridge.core import node_size
     from mfbridge.properties import _minimize
     cfg = GenConfig(seed=8, max_depth=4)
-    draw = DRAWS[pre.PreTerm][0]
+    draw = DRAWS[pre.PreTerm]
     g = _Gen(cfg, _rng(cfg, 0))
     assert node_size(draw(g, cfg.max_depth)) > 10
     tried = []
@@ -225,7 +253,7 @@ def test_a_shrink_candidate_over_the_cell_cap_does_not_reproduce():
     from mfbridge.printer import print_set
     from mfbridge.properties import CheckReport, _sampled
     cfg = GenConfig(seed=0, max_depth=2)
-    sample = gen_set_formula(cfg, 0)
+    sample = gen(fol.SetFormula, cfg, 0)
 
     def check(f, U):
         if f is not sample:
@@ -233,7 +261,7 @@ def test_a_shrink_candidate_over_the_cell_cap_does_not_reproduce():
         return SweepReport(False, None, 0, 1), print_set(f), "planted failure"
 
     report = CheckReport("selftest")
-    _sampled(cfg, DRAWS[fol.SetFormula][0], check, report, 1)
+    _sampled(cfg, [(DRAWS[fol.SetFormula], check)], report, 1)
     assert [(f.index, f.subject, f.detail) for f in report.failures] == \
         [(0, print_set(sample), "planted failure")]
 
@@ -250,8 +278,8 @@ def test_minimized_failure_lands_in_report():
         return rep, print_set(f), "formula equivalent to its negation"
 
     report = CheckReport("selftest")
-    _sampled(GenConfig(seed=0, max_depth=2, sample_count=3), DRAWS[fol.SetFormula][0],
-             check, report, 3)
+    _sampled(GenConfig(seed=0, max_depth=2, sample_count=3), [(DRAWS[fol.SetFormula], check)],
+             report, 3)
     assert not report.ok
     # the shrinker reduces every reported failure to an atom
     assert all(len(f.subject) <= len("false -> false") for f in report.failures)
@@ -319,39 +347,39 @@ def test_generator_stream_is_pinned():
     from mfbridge.printer import print_emtt, print_set
     cfg = GenConfig(seed=7, max_depth=4, omega_allowed=True, deep_el_list=True)
     printed = {
-        gen_set_formula: (
+        fol.SetFormula: (
             r"((ex b1. omega = b1) -> omega in {y, z}) -> y in {b2 in {y, omega} | false /\ empty = omega}",
             "all b1. {omega, {x, empty}} in omega",
             "{Un({b1 in empty | empty in omega}), {{z, x}, Un(empty)}} in {empty, Un(omega)}"),
-        gen_set_term: (
+        fol.SetTerm: (
             "{b1 in {b2 in empty | empty in omega} | {omega, {x, omega}} in y}",
             "Pow(omega)",
             "omega"),
-        gen_preprop: (
+        pre.PreProposition: (
             "((ex b1:N0. star =[N0] star) -> inl(star) =[N1] PowV(omegaV)) -> "
             "cons(elQ[P1,(b3,b4)b3 =[V] b4](emptyV,(b5)star),emp0(tt)) =[{ b2 | bot }] "
             "cls[V,(b7,b8)tt =[V] omegaV](inl(x))",
             r"all b1:N1. inl(star) eps { b2 | eps eps emptyV } /\ <eps,eps> eps N0",
             "PowV({elQ[V,(b1,b2)b1 =[V] b2](eps,(b3)tt),inr(eps)}V) eps V"),
-        gen_preterm: (
+        pre.PreTerm: (
             "<{<PowV(emptyV),cls[N0,(b1,b2)b2 eps star](omegaV)>,{emp0(eps),inl(star)}V}V,"
             "PowV({b3 eps {star,emptyV}V | bot})>",
             "lam b1:N1. inl(PowV(PowV(omegaV)))",
             "elList[N1](omegaV,omegaV,(b1,b2,b3)emptyV)"),
-        gen_precollection: (
+        pre.PreCollection: (
             "Sig b1:{ b2 | (ex b3:N0. b3 eps star) -> eps =[N1] star }. "
             "[prop cons(emptyV,tt) =[{ b4 | bot }] name(N1)]",
             "Pi b1:V. List([prop eps eps N1])",
             "V"),
     }
-    for gen, want in printed.items():
-        show = print_set if gen in (gen_set_formula, gen_set_term) else print_emtt
-        assert tuple(show(gen(cfg, i)) for i in (1, 2, 3)) == want, gen.__name__
+    for sort, want in printed.items():
+        show = print_set if sort in (fol.SetFormula, fol.SetTerm) else print_emtt
+        assert tuple(show(gen(sort, cfg, i)) for i in (1, 2, 3)) == want, sort.__name__
     digest = hashlib.sha256()
-    for seed, depth, omega, deep, gen, i in itertools.product(
+    for seed, depth, omega, deep, sort, i in itertools.product(
             range(5), range(5), (False, True), (False, True), printed, range(2)):
         grid = GenConfig(seed=seed, max_depth=depth, omega_allowed=omega, deep_el_list=deep)
-        digest.update(repr(gen(grid, i)).encode())
+        digest.update(repr(gen(sort, grid, i)).encode())
     assert digest.hexdigest() == "bb44e4bffd27b94d25cc03db25d0650555f54c74d859f4b2d4d0d35a39d3f605"
 
 
@@ -387,5 +415,5 @@ def test_the_cell_cap_at_depth_zero_is_an_error():
         raise CellCapError("sweep grid over 7 variables exceeds the cell cap")
 
     with pytest.raises(CellCapError):
-        _sampled(GenConfig(seed=0, max_depth=2), DRAWS[fol.SetFormula][0], check, report, 1)
+        _sampled(GenConfig(seed=0, max_depth=2), [(DRAWS[fol.SetFormula], check)], report, 1)
     assert len(calls) == 3 and report.regenerated == 2  # at depths 2, 1 and 0

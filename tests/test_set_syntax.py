@@ -8,7 +8,7 @@ from mfbridge.parser import parse_set_term
 from mfbridge.set_syntax import (And, BExists, BForall, Bot, Cup, Empty, Eq,
                                  Exists, ExistsUnique, Forall, Iff, Imp, Len,
                                  Mem, Neg, Omega, One, OrderedPair, P1of, P2of,
-                                 Pair, Pow, Sep, Singleton, Subset, TheoryFlavor,
+                                 Pair, Pow, Sep, SetFormula, Singleton, Subset, TheoryFlavor,
                                  Top, Union, Var, Zero, elaborate, flavor_check,
                                  is_core, is_delta0, normalize, subst_set)
 
@@ -110,8 +110,8 @@ def test_iff_and_neg():
 
 @given(st.integers(0, 4000))
 def test_elaborate_idempotent_and_core(seed):
-    from mfbridge.properties import GenConfig, gen_set_formula
-    f = gen_set_formula(GenConfig(seed=seed))
+    from mfbridge.properties import GenConfig, gen
+    f = gen(SetFormula, GenConfig(seed=seed))
     e = elaborate(f)
     assert is_core(e)
     assert elaborate(e) == e
@@ -163,9 +163,9 @@ def test_delta0_pow_depends_on_flavor():
 
 @given(st.integers(0, 2000), st.integers(0, 2000))
 def test_delta0_closed_under_connectives(s1, s2):
-    from mfbridge.properties import GenConfig, gen_set_formula
-    a = elaborate(gen_set_formula(GenConfig(seed=s1, max_depth=2)))
-    b = elaborate(gen_set_formula(GenConfig(seed=s2, max_depth=2)))
+    from mfbridge.properties import GenConfig, gen
+    a = elaborate(gen(SetFormula, GenConfig(seed=s1, max_depth=2)))
+    b = elaborate(gen(SetFormula, GenConfig(seed=s2, max_depth=2)))
     if is_delta0(a, IZF) and is_delta0(b, IZF):
         assert is_delta0(And(a, b), IZF)
         assert is_delta0(Imp(a, b), IZF)

@@ -6,7 +6,7 @@ from mfbridge import emtt_syntax as pre
 from mfbridge import set_syntax as fol
 from mfbridge.core import alpha_eq, free_vars
 from mfbridge.emtt_syntax import subst_emtt
-from mfbridge.properties import GenConfig, gen_set_formula, gen_set_term
+from mfbridge.properties import GenConfig, gen
 from mfbridge.set_syntax import elaborate, normalize, subst_set
 from mfbridge.tilde import TranslationError, tilde, tilde_formula, tilde_term
 
@@ -44,9 +44,9 @@ def test_rejects_sugar():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_free_vars_preserved(seed):
-    f = gen_set_formula(GenConfig(seed=seed, max_depth=4))
+    f = gen(fol.SetFormula, GenConfig(seed=seed, max_depth=4))
     assert free_vars(tilde_formula(f)) == free_vars(f)
-    t = gen_set_term(GenConfig(seed=seed, max_depth=4))
+    t = gen(fol.SetTerm, GenConfig(seed=seed, max_depth=4))
     assert free_vars(tilde_term(t)) == free_vars(t)
 
 
@@ -54,7 +54,7 @@ def test_free_vars_preserved(seed):
 @given(st.integers(0, 10 ** 6))
 def test_quantifier_bounds_are_all_v(seed):
     from mfbridge.core import walk
-    f = tilde_formula(gen_set_formula(GenConfig(seed=seed, max_depth=4)))
+    f = tilde_formula(gen(fol.SetFormula, GenConfig(seed=seed, max_depth=4)))
     for node in walk(f):
         if isinstance(node, (pre.ForallP, pre.ExistsP)):
             assert node.dom == pre.UnivV()
@@ -65,8 +65,8 @@ def test_quantifier_bounds_are_all_v(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_commutes_with_substitution(s1, s2):
-    f = gen_set_formula(GenConfig(seed=s1, max_depth=3))
-    t = gen_set_term(GenConfig(seed=s2, max_depth=2))
+    f = gen(fol.SetFormula, GenConfig(seed=s1, max_depth=3))
+    t = gen(fol.SetTerm, GenConfig(seed=s2, max_depth=2))
     for x in sorted(free_vars(f))[:2]:
         lhs = tilde_formula(subst_set(f, x, t))
         rhs = subst_emtt(tilde_formula(f), x, tilde_term(t))
@@ -76,6 +76,6 @@ def test_commutes_with_substitution(s1, s2):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_injective_up_to_alpha(s1, s2):
-    a = normalize(gen_set_formula(GenConfig(seed=s1, max_depth=3)))
-    b = normalize(gen_set_formula(GenConfig(seed=s2, max_depth=3)))
+    a = normalize(gen(fol.SetFormula, GenConfig(seed=s1, max_depth=3)))
+    b = normalize(gen(fol.SetFormula, GenConfig(seed=s2, max_depth=3)))
     assert alpha_eq(tilde_formula(a), tilde_formula(b)) == alpha_eq(a, b)
