@@ -164,10 +164,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    d = sexp.loads(_read(args.derivation), K0_REGISTRY, delta0_k0.K0Node)
-    gamma = parse_set_formula(_read(args.gamma))
-    fresh = FreshNames.for_nodes(gamma)
-    gamma = normalize_binders(fol.elaborate(gamma, fresh), fresh)
+    d, gamma = delta0_k0.read_case(_read(args.derivation), _read(args.gamma))
     phi = delta0_k0.derived_formula(d)
     res = delta0_k0.k0_reconstruct(phi, gamma, d)
     if not res.ok:
@@ -186,7 +183,7 @@ def cmd_sigma(args) -> int:
     print(f"leftover bound variables (free in output): "
           f"{', '.join(result.leftover_bounds) if result.leftover_bounds else 'none'}")
     print(f"delta0 (leftovers free): "
-          f"{'yes' if result.is_delta0_with_leftovers_free() else 'no'}")
+          f"{'yes' if fol.is_delta0(result.formula) else 'no'}")
     return 0
 
 
@@ -216,8 +213,7 @@ def cmd_rules(args) -> int:
     return 2
 
 
-K0_REGISTRY = dict(sexp.SET_REGISTRY)
-K0_REGISTRY.update({c.__name__: c for c in delta0_k0.K0_CLASSES})
+K0_REGISTRY = delta0_k0.K0_REGISTRY  # the derivation vocabulary, for importers of this module
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,10 +14,14 @@ The bound-erasing map sends a checked derivation to a bounded formula whose
 quantifier bounds are the variables z, which remain free in the output and
 are reported as leftovers.
 
+A derivation file and its gamma are read, and their formulas elaborated, in
+one place (`read_case`); the checker takes core derivations only.
+
 Each witness step is checked by one sweep of delta over gamma's grid plus z
 that counts delta's true cells along z's axis (`_witness_step`): the report
 that the elaborated `gamma -> exactly one z with delta` gives, over a grid
-with two binder axes fewer.  Nodes are interned and the checks are pure, so
+with two binder axes fewer.  Its callers sweep gamma, so an agreement check
+sweeps it once.  Nodes are interned and the checks are pure, so
 `k0_reconstruct` keeps its result per derivation and `discharge_obligations`
 its report per obligation statement and rank, in tables with weak keys: an
 entry lives as long as its derivation, and checking a derivation again, as
@@ -28,19 +32,16 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, replace
 
-from . import hf
-from .core import FreshNames, Node, alpha_eq, free_vars
+from . import hf, sexp
+from .core import FreshNames, Node, alpha_eq, free_vars, normalize_binders
 from .hf import Env, SweepReport, _report, _sweep_arrays, check_valid, enumerate_universe
+from .parser import parse_set_formula
 from .set_syntax import (And, Bot, Eq, Exists, ExistsUnique, Forall, Imp, Mem,
-                         Or, SetFormula, Var, elaborate, is_delta0)
-from .set_syntax import TheoryFlavor
+                         Or, SetFormula, Var, elaborate, is_core)
 
 
 class K0Node(Node):
     pass
-
-
-K0Node.var_cls = Var
 
 
 class K0Atom(K0Node):
@@ -72,7 +73,8 @@ class K0Bounded(K0Node):
             raise ValueError(f"unknown bounded-step kind {self.kind!r}")
 
 
-K0_CLASSES = (K0Atom, K0Conn, K0Bounded)
+# the derivation file's vocabulary: the set language plus the three k0 classes
+K0_REGISTRY = {**sexp.SET_REGISTRY, **{c.__name__: c for c in (K0Atom, K0Conn, K0Bounded)}}
 
 _CONN = {"and": And, "or": Or, "imp": Imp}
 
@@ -106,6 +108,14 @@ class ReconstructResult:
     ok: bool
     obligations: tuple[Obligation, ...] = ()
     mismatch: Mismatch | None = None
+
+
+def read_case(derivation_text: str, gamma_text: str) -> tuple[K0Node, SetFormula]:
+    """A derivation file and its gamma file, read: the derivation with its
+    formulas elaborated, and gamma elaborated with its binders normalized."""
+    d, gamma = sexp.loads(derivation_text, K0_REGISTRY, K0Node), parse_set_formula(gamma_text)
+    fresh = FreshNames.for_nodes(d, gamma)
+    return elaborate(d, fresh), normalize_binders(elaborate(gamma, fresh), fresh)
 
 
 def derived_formula(d: K0Node) -> SetFormula:
@@ -179,8 +189,10 @@ def _reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> ReconstructRe
                     return Mismatch(path, f"witness step mentions {captured}, bound by an enclosing step")
                 if kind != "plain" and y == z:
                     return Mismatch(path, f"bounded variable {y!r} captures the step's own witness variable")
+                if not is_core(delta):
+                    return Mismatch(path, "witness formula contains sugar; elaborate it first")
                 seen_z.add(z)
-                obligations.append(_make_obligation(gamma, z, delta))
+                obligations.append(Obligation(z, delta, Imp(gamma, ExistsUnique(z, delta))))
                 return go(body, path + ".body", bound if kind == "plain" else bound | {y})
 
     mism = go(d, "root")
@@ -191,32 +203,24 @@ def _reconstruct(phi: SetFormula, gamma: SetFormula, d: K0Node) -> ReconstructRe
     return ReconstructResult(True, obligations=tuple(obligations))
 
 
-def _make_obligation(gamma: SetFormula, z: str, delta: SetFormula) -> Obligation:
-    return Obligation(z, delta, Imp(gamma, ExistsUnique(z, delta)))
-
-
-def _witness_step(gamma: SetFormula, z: str, delta: SetFormula, U, strict: bool):
-    """Sweep gamma over the grid of its free variables and delta's other than
-    z, and delta over that grid plus z, then count delta's true cells along
-    z's axis.  Returns the grid's variables and, over the grid, gamma's truth,
-    the skip mask (gamma overflows, or delta does at some z), the mask of
-    exactly one z, and the first z where delta holds."""
-    gvars = tuple(sorted(free_vars(gamma) | (free_vars(delta) - {z})))
-    _, g_tr, g_ov = _sweep_arrays(gamma, gvars, U, strict)
+def _witness_step(gvars: tuple[str, ...], z: str, delta: SetFormula, U, strict: bool):
+    """Sweep delta over the grid of `gvars` plus z and count its true cells
+    along z's axis.  Returns, over the grid, the mask where delta overflows at
+    some z, the mask of exactly one z, and the first z where delta holds."""
     full, tr, ov = _sweep_arrays(delta, gvars + (z,), U, strict)
     ax = full.index(z)
-    return gvars, g_tr, g_ov | ov.any(axis=ax), tr.sum(axis=ax) == 1, tr.argmax(axis=ax)
+    return ov.any(axis=ax), tr.sum(axis=ax) == 1, tr.argmax(axis=ax)
 
 
 def _discharge(statement: SetFormula, rank: int) -> SweepReport:
-    """The strict sweep of `gamma -> exactly one z with delta`, kept per
-    statement and rank: the report `check_valid` gives on its elaboration."""
+    """The strict sweep of the core `gamma -> exactly one z with delta`, kept
+    per statement and rank: the report `check_valid` gives on its elaboration."""
     reports = _DISCHARGED.setdefault(statement, {})
     if rank not in reports:
-        fresh = FreshNames.for_nodes(statement)
-        gamma, delta = elaborate(statement.left, fresh), elaborate(statement.right.body, fresh)
-        gvars, g_tr, skip, one, _ = _witness_step(gamma, statement.right.binder, delta,
-                                                  enumerate_universe(rank), strict=True)
+        U, gvars = enumerate_universe(rank), tuple(sorted(free_vars(statement)))
+        _, g_tr, g_ov = _sweep_arrays(statement.left, gvars, U, strict=True)
+        d_ov, one, _ = _witness_step(gvars, statement.right.binder, statement.right.body, U, strict=True)
+        skip = g_ov | d_ov
         reports[rank] = _report(g_tr & ~one & ~skip, skip, gvars)
     return reports[rank]
 
@@ -246,9 +250,6 @@ class SigmaError(ValueError):
 class SigmaResult:
     formula: SetFormula
     leftover_bounds: tuple[str, ...]  # witness variables left free in the output
-
-    def is_delta0_with_leftovers_free(self, flavor: TheoryFlavor = TheoryFlavor.IZF) -> bool:
-        return is_delta0(self.formula, flavor)
 
 
 def sigma(d: K0Node, obligations) -> SigmaResult:
@@ -284,6 +285,10 @@ class AgreementReport:
     envs_skipped: int
     counterexample: Env | None = None
 
+    @property
+    def vacuous(self) -> bool:  # no environment was checked: a pass is no evidence
+        return self.envs_checked == 0
+
 
 def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementReport:
     """In every environment satisfying gamma, extending by the unique
@@ -310,7 +315,7 @@ def check_sigma_agreement(d: K0Node, gamma: SetFormula, rank: int) -> AgreementR
     counted, skip = g_tr & ~skip, skip.copy()
     pinned = {}
     for ob in res.obligations:
-        _, _, ob_skip, one, witness = _witness_step(gamma, ob.z, ob.delta, U, strict=False)
+        ob_skip, one, witness = _witness_step(gvars, ob.z, ob.delta, U, strict=False)
         lost = counted & (ob_skip | ~one)
         skip, counted = skip | lost, counted & ~lost
         pinned[ob.z] = (gvars, witness)

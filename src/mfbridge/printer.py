@@ -134,38 +134,11 @@ def _print(node, level: int = 0) -> str:
     return f"({text})" if own < level else text
 
 
-def print_set_term(t: fol.SetTerm) -> str:
-    return _print(t)
-
-
-def print_set_formula(f: fol.SetFormula) -> str:
-    return _print(f)
-
-
 def print_set(node: fol.SetNode) -> str:
     return _print(node)
 
 
-def print_collection(A: pre.PreCollection, prec: int = 0) -> str:
-    return _print(A, prec)
-
-
-def print_term(t: pre.PreTerm) -> str:
-    return _print(t)
-
-
-def print_prop(p: pre.PreProposition, prec: int = 0) -> str:
-    return _print(p, prec)
-
-
-def print_context(ctx: pre.PreContext) -> str:
-    if not len(ctx):
-        return "[]"
-    entries = ", ".join(f"{x}:{_print(A, _SUM)}" for x, A in ctx)
-    return f"[{entries}]"
-
-
 def print_emtt(node) -> str:
     if isinstance(node, pre.PreContext):
-        return print_context(node)
+        return "[" + ", ".join(f"{x}:{_print(A, _SUM)}" for x, A in node) + "]"
     return _print(node)

@@ -403,7 +403,7 @@ def check_freevar_contracts(cfg: GenConfig) -> CheckReport:
 
 def check_axioms(cfg: GenConfig) -> CheckReport:
     """Standing sanity suite: the basic set axioms hold in the bounded
-    universe wherever nothing overflows."""
+    universe wherever nothing overflows, and each is checked somewhere."""
     report = CheckReport("axioms")
     U = enumerate_universe(cfg.rank)
     for name, axiom in standard_axioms():
@@ -414,6 +414,9 @@ def check_axioms(cfg: GenConfig) -> CheckReport:
             report.failures.append(Failure(report.samples - 1, name,
                                            "axiom fails in the bounded universe",
                                            rep.counterexample))
+        elif rep.vacuous:
+            report.failures.append(Failure(report.samples - 1, name,
+                                           "axiom checked no environment at this rank"))
     return report
 
 

@@ -186,6 +186,18 @@ def test_check_axioms_renders_a_failing_report(monkeypatch, capsys):
         "    env: x={}, y={}\n")
 
 
+def test_check_axioms_fails_an_axiom_that_checked_nothing(capsys):
+    # at rank 0 pairing and powerset overflow in their one environment
+    code, out, err = run(capsys, "check", "--property", "axioms", "--rank", "0")
+    assert (code, err) == (1, "")
+    assert out == (
+        "property axioms: FAIL (8 samples, 2 overflow-skipped envs, 0 regenerated)\n"
+        "  sample 2: axiom checked no environment at this rank\n"
+        "    input: pairing\n"
+        "  sample 4: axiom checked no environment at this rank\n"
+        "    input: powerset\n")
+
+
 # every subject fails, so each shrinks to the first leaf of its sort
 @pytest.mark.parametrize("method, detail, subject", [
     ("hat", "free vars ['leak'] != []", "bot"),
@@ -340,6 +352,19 @@ def test_sigma_refuses_a_vacuous_obligation(tmp_path, capsys):
     g = _write(tmp_path, "g.fm", "x = x")
     code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g)
     assert (code, out, err) == (1, "obligation for z: vacuous at rank 3\n", "")
+
+
+def test_sigma_reads_a_sugar_witness(tmp_path, capsys):
+    # the witness formula is elaborated as the file is read
+    d = _write(tmp_path, "sing.k0", "(K0Bounded existsIn z (Eq (Var z) (Singleton (Var x))) y "
+                                    "(K0Atom (Mem (Var y) (Var x))))")
+    g = _write(tmp_path, "g.fm", "x = x")
+    code, out, err = run(capsys, "sigma", "--derivation", d, "--gamma", g, "--rank", "3")
+    assert (code, err) == (0, "")
+    assert out == ("obligation for z: hf_verified at rank 3\n"
+                   "sigma: ex y. y in z /\\ y in x\n"
+                   "leftover bound variables (free in output): z\n"
+                   "delta0 (leftovers free): yes\n")
 
 
 def test_sigma_rejects_witness_capture(tmp_path, capsys):

@@ -16,8 +16,7 @@ from mfbridge.core import (FreshNames, Node, VarNode, all_names, alpha_eq, free_
                            normalize_binders, subst1, walk)
 from mfbridge.parser import (parse_collection, parse_prop, parse_set_formula, parse_set_term,
                              parse_term)
-from mfbridge.printer import (print_collection, print_prop, print_set_formula, print_set_term,
-                              print_term)
+from mfbridge.printer import print_emtt, print_set
 from mfbridge.set_syntax import (And, Bot, Eq, Exists, Forall, Imp, Mem, Omega,
                                  Empty, Sep, SetFormula, SetTerm, Var)
 
@@ -223,10 +222,10 @@ def test_cached_fresh_floor_matches_all_names(seed):
 
 
 def test_cached_fresh_floor_on_the_k0_corpus():
-    from mfbridge.cli import K0_REGISTRY
-    from mfbridge.delta0_k0 import K0Atom, K0Bounded
+    from mfbridge.delta0_k0 import K0Atom, K0Bounded, read_case
     data = pathlib.Path(__file__).parent / "data" / "k0"
-    corpus = [sexp.loads(path.read_text(), K0_REGISTRY) for path in sorted(data.glob("*.k0"))]
+    corpus = [read_case(path.read_text(), path.with_suffix(".gamma.fm").read_text())[0]
+              for path in sorted(data.glob("*.k0"))]
     # a bounded step's z and bound_var are payloads ("X"), which all_names leaves out
     step = K0Bounded("existsIn", "z#9", Eq(Var("w"), Var("a#3")), "y#8",
                      K0Atom(Mem(Var("u"), Var("x"))))
@@ -237,11 +236,11 @@ def test_cached_fresh_floor_on_the_k0_corpus():
 
 
 # per sort, in `_all_sorts` order: its printer, its parser and its s-expression registry
-_READ_BACK = ((print_set_term, parse_set_term, sexp.SET_REGISTRY),
-              (print_set_formula, parse_set_formula, sexp.SET_REGISTRY),
-              (print_term, parse_term, sexp.EMTT_REGISTRY),
-              (print_collection, parse_collection, sexp.EMTT_REGISTRY),
-              (print_prop, parse_prop, sexp.EMTT_REGISTRY))
+_READ_BACK = ((print_set, parse_set_term, sexp.SET_REGISTRY),
+              (print_set, parse_set_formula, sexp.SET_REGISTRY),
+              (print_emtt, parse_term, sexp.EMTT_REGISTRY),
+              (print_emtt, parse_collection, sexp.EMTT_REGISTRY),
+              (print_emtt, parse_prop, sexp.EMTT_REGISTRY))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -7,12 +7,11 @@ import pathlib
 import pytest
 
 from mfbridge import delta0_k0, sexp
-from mfbridge.cli import K0_REGISTRY
 from mfbridge.core import FreshNames, alpha_eq, free_vars
-from mfbridge.delta0_k0 import (AgreementReport, K0Atom, K0Bounded, K0Conn,
+from mfbridge.delta0_k0 import (K0_REGISTRY, AgreementReport, K0Atom, K0Bounded, K0Conn,
                                 Mismatch, SigmaError, check_separation_lemma,
                                 check_sigma_agreement, derived_formula,
-                                discharge_obligations, k0_reconstruct, sigma)
+                                discharge_obligations, k0_reconstruct, read_case, sigma)
 from mfbridge.hf import Overflow, check_valid, enumerate_universe, eval_formula
 from mfbridge.parser import parse_set_formula
 from mfbridge.set_syntax import (And, Bot, Empty, Eq, Exists, ExistsUnique, Forall, Imp,
@@ -148,7 +147,7 @@ def test_sigma_erases_bounds():
     sg = sigma(d, obs)
     assert sg.formula == Exists("w", And(Mem(Var("w"), Var("z")), Mem(Var("w"), Var("x"))))
     assert sg.leftover_bounds == ("z",)
-    assert sg.is_delta0_with_leftovers_free()
+    assert is_delta0(sg.formula)
 
 
 def test_sigma_identity_without_bounded_steps():
@@ -177,19 +176,12 @@ def test_separation_lemma_two_vars():
 
 
 def test_corpus_round_trips_through_files():
-    cases = sorted(DATA.glob("*.k0"))
-    assert len(cases) == 10
-    for path in cases:
-        d = sexp.loads(path.read_text(), K0_REGISTRY)
-        gamma_src = (DATA / (path.name[:-3] + ".gamma.fm")).read_text()
-        gamma = normalize(elaborate(parse_set_formula(gamma_src)))
+    corpus = list(_corpus())
+    assert len(corpus) == 10
+    for name, d, gamma in corpus:
         res = k0_reconstruct(derived_formula(d), gamma, d)
-        assert res.ok, (path.name, res.mismatch)
+        assert res.ok, (name, res.mismatch)
         assert sexp.loads(sexp.dumps(d), K0_REGISTRY) == d
-
-
-def _load(name: str):
-    return sexp.loads((DATA / f"{name}.k0").read_text(), K0_REGISTRY)
 
 
 def _gamma(text: str):
@@ -198,8 +190,7 @@ def _gamma(text: str):
 
 def _corpus():
     for path in sorted(DATA.glob("*.k0")):
-        yield path.name[:-3], _load(path.name[:-3]), \
-            _gamma((DATA / (path.name[:-3] + ".gamma.fm")).read_text())
+        yield path.name[:-3], *read_case(path.read_text(), path.with_suffix(".gamma.fm").read_text())
 
 
 def test_capture_by_an_enclosing_bound_variable_is_a_mismatch():
@@ -226,6 +217,38 @@ def test_capture_by_an_enclosing_bound_variable_is_a_mismatch():
         res = k0_reconstruct(derived_formula(d), _gamma("x = x"), d)
         assert not res.ok and res.mismatch.path == "root"
         assert "own witness" in res.mismatch.reason
+
+
+# -- the input boundary: read_case elaborates, the checker takes core ---------
+
+SING = "(K0Bounded existsIn z (Eq (Var z) (Singleton (Var x))) y (K0Atom (Mem (Var y) (Var x))))"
+
+
+def test_read_case_elaborates_a_sugar_witness():
+    d, gamma = read_case(SING, "x = x")
+    res = k0_reconstruct(derived_formula(d), gamma, d)
+    assert res.ok
+    assert [ob.status for ob in discharge_obligations(res.obligations, 3)] == ["hf_verified"]
+    twin, _ = read_case(SING.replace("(Singleton (Var x))", "(Pair (Var x) (Var x))"), "x = x")
+    rep = check_sigma_agreement(d, gamma, 3)
+    assert rep == check_sigma_agreement(twin, gamma, 3) == AgreementReport(True, 4, 12)
+    assert not rep.vacuous
+    assert check_separation_lemma(d, gamma, 2).ok
+
+
+def test_the_checker_refuses_a_sugar_witness():
+    x = Var("x")
+    d = K0Bounded("existsIn", "z", Eq(Var("z"), Singleton(x)), "y", K0Atom(Mem(Var("y"), x)))
+    res = k0_reconstruct(derived_formula(d), Eq(x, x), d)
+    assert res.mismatch == Mismatch("root", "witness formula contains sugar; elaborate it first")
+    with pytest.raises(SigmaError, match="^derivation does not reconstruct: "):
+        check_sigma_agreement(d, Eq(x, x), 3)
+
+
+def test_an_agreement_that_checked_nothing_is_vacuous():
+    # gamma holds nowhere, so no environment is counted
+    rep = check_sigma_agreement(K0Atom(Bot()), _gamma("x in x"), 2)
+    assert rep == AgreementReport(True, 0, 0) and rep.vacuous
 
 
 # -- differential test of the agreement check ---------------------------------
@@ -334,9 +357,9 @@ def _elaborated_report(statement, rank: int):
 
 def test_witness_step_discharge_matches_the_elaborated_claim():
     z, x = Var("z"), Var("x")
-    # refuted ones, one refuted at rank 3 only, and sugar, which discharge elaborates
+    # refuted ones, one refuted at rank 3 only, and sugar, elaborated as read_case does
     more = [Mem(z, x), Mem(x, z), Bot(), Eq(Pow(z), x),
-            And(Eq(z, Empty()), Eq(z, Union(Union(x)))), Eq(z, Singleton(x))]
+            And(Eq(z, Empty()), Eq(z, Union(Union(x)))), elaborate(Eq(z, Singleton(x)))]
     deltas = {(ob.z, ob.delta) for _, d, gamma in _corpus()
               for ob in k0_reconstruct(derived_formula(d), gamma, d).obligations}
     deltas |= {("z", delta) for delta in more}
@@ -360,9 +383,9 @@ def test_each_check_runs_once_and_its_entries_die_with_the_derivation(monkeypatc
         calls.append("reconstruct")
         return reconstruct(phi, gamma, d)
 
-    def counted_step(gamma, z, delta, U, strict):
+    def counted_step(gvars, z, delta, U, strict):
         calls.append(("strict" if strict else "lax", z))
-        return step(gamma, z, delta, U, strict)
+        return step(gvars, z, delta, U, strict)
 
     monkeypatch.setattr(delta0_k0, "_reconstruct", counted_reconstruct)
     monkeypatch.setattr(delta0_k0, "_witness_step", counted_step)

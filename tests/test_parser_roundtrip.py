@@ -10,9 +10,7 @@ from mfbridge.core import alpha_eq
 from mfbridge.parser import (ParseError, parse_collection, parse_context,
                              parse_emtt, parse_prop, parse_set_formula,
                              parse_set_term, parse_term)
-from mfbridge.printer import (NOTATION, print_collection, print_context,
-                              print_prop, print_set, print_set_formula,
-                              print_set_term, print_term)
+from mfbridge.printer import NOTATION, print_emtt, print_set
 from mfbridge.properties import GenConfig, gen
 from mfbridge import emtt_syntax as pre
 from mfbridge import set_syntax as fol
@@ -69,7 +67,7 @@ def test_set_parse_errors():
 def test_emtt_goldens():
     p = parse_prop("all x:V. x eps y")
     assert p == pre.ForallP("x", pre.UnivV(), pre.EpsTerm(pre.Var("x"), pre.Var("y")))
-    assert print_prop(p) == "all x:V. x eps y"
+    assert print_emtt(p) == "all x:V. x eps y"
     c = parse_collection("Sig x:V. { y | y eps x }")
     assert c == pre.Sigma("x", pre.UnivV(), pre.Compr("y", pre.EpsTerm(pre.Var("y"), pre.Var("x"))))
     t = parse_term("elQ[N1,(a,b)a =[V] b](star,(w)tt)")
@@ -101,7 +99,7 @@ def test_emtt_quotient_and_sum():
 def test_context_round_trip():
     for src in ["[]", "[x:V]", "[x:V, y:N1]", "[x:V, y:{ z | z eps x }]"]:
         ctx = parse_context(src)
-        assert parse_context(print_context(ctx)) == ctx
+        assert parse_context(print_emtt(ctx)) == ctx
 
 
 def test_emtt_bracket_is_read_by_its_next_token():
@@ -149,9 +147,9 @@ def test_notation_covers_every_node_class():
 def test_set_round_trip(seed):
     cfg = GenConfig(seed=seed, max_depth=4, omega_allowed=True)
     f = gen(fol.SetFormula, cfg)
-    assert parse_set_formula(print_set_formula(f)) == f
+    assert parse_set_formula(print_set(f)) == f
     t = gen(fol.SetTerm, cfg)
-    assert parse_set_term(print_set_term(t)) == t
+    assert parse_set_term(print_set(t)) == t
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,11 +157,11 @@ def test_set_round_trip(seed):
 def test_emtt_round_trip(seed):
     cfg = GenConfig(seed=seed, max_depth=4, omega_allowed=True, deep_el_list=True)
     p = gen(pre.PreProposition, cfg)
-    assert parse_prop(print_prop(p)) == p
+    assert parse_prop(print_emtt(p)) == p
     t = gen(pre.PreTerm, cfg)
-    assert parse_term(print_term(t)) == t
+    assert parse_term(print_emtt(t)) == t
     c = gen(pre.PreCollection, cfg)
-    assert parse_collection(print_collection(c)) == c
+    assert parse_collection(print_emtt(c)) == c
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,13 +169,13 @@ def test_emtt_round_trip(seed):
 def test_printing_idempotent(seed):
     cfg = GenConfig(seed=seed, max_depth=3)
     f = gen(fol.SetFormula, cfg)
-    s = print_set_formula(f)
-    assert print_set_formula(parse_set_formula(s)) == s
+    s = print_set(f)
+    assert print_set(parse_set_formula(s)) == s
 
 
 def test_machine_names_reparse():
     f = fol.Exists("v#1", fol.Eq(fol.Var("v#1"), fol.Var("u")))
-    assert parse_set_formula(print_set_formula(f)) == f
+    assert parse_set_formula(print_set(f)) == f
 
 
 # s-expressions
